@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import Point
-from .metrics import coverage_fraction, mean_pairwise_observer_distance, observation_matrix
+from .metrics import mean_pairwise_observer_distance, observation_matrix
 from .world import PlanarGraph, TargetState, predict_target
 
 DEFAULT_PERTURB_MAG = 10.0
@@ -65,61 +64,6 @@ class ControlInput:
             raise ValueError(f"sensor range must be positive, got {self.sr}")
 
 
-class CandidateScore(NamedTuple):
-    """Coverage fraction and observer spread of a destination vector."""
-
-    rho_new: float
-    rho_ob: float
-
-
-def evaluate_candidate(
-    candidate_destinations: Sequence[Point], target_eval_points: Sequence[Point], sr: float
-) -> CandidateScore:
-    """Score a destination vector as if observers already occupied it."""
-    rho_new = coverage_fraction(observation_matrix(candidate_destinations, target_eval_points, sr))
-    rho_ob = mean_pairwise_observer_distance(candidate_destinations)
-    return CandidateScore(rho_new=rho_new, rho_ob=rho_ob)
-
-
-def perturb(
-    destinations: Sequence[Point],
-    arena: tuple[float, float],
-    rng: np.random.Generator,
-    mag: float = DEFAULT_PERTURB_MAG,
-) -> list[Point]:
-    """One random candidate: each coordinate nudged by U[-mag, mag], then
-    clamped to the arena."""
-    base = np.asarray(destinations, dtype=float)
-    moved = base + rng.uniform(-mag, mag, size=base.shape)
-    np.clip(moved, 0.0, np.asarray(arena, dtype=float), out=moved)
-    return [Point(float(x), float(y)) for x, y in moved]
-
-
-def _covered_counts(dest_sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndarray:
-    """Observed-target counts for destination vectors, vectorized.
-
-    ``dest_sets`` is (..., N, 2); the result has the leading shape. Matches
-    observation_matrix element for element (same closed-disc comparison).
-    """
-    dx = dest_sets[..., 0][..., None] - targets[:, 0]
-    dy = dest_sets[..., 1][..., None] - targets[:, 1]
-    seen = dx * dx + dy * dy <= sr * sr
-    return seen.any(axis=-2).sum(axis=-1)
-
-
-@lru_cache(maxsize=8)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
-
-
-def _pairwise_means(dest_sets: np.ndarray) -> np.ndarray:
-    """Mean pairwise distance per destination vector in a (C, N, 2) batch."""
-    iu, jv = _pair_indices(dest_sets.shape[1])
-    dx = dest_sets[:, iu, 0] - dest_sets[:, jv, 0]
-    dy = dest_sets[:, iu, 1] - dest_sets[:, jv, 1]
-    return np.mean(np.sqrt(dx * dx + dy * dy), axis=1)
-
-
 def _rows_to_points(rows: np.ndarray) -> list[Point]:
     return [Point(float(x), float(y)) for x, y in rows]
 
@@ -138,8 +82,8 @@ def _hc_family(
     offsets = inp.rng.uniform(-mag, mag, size=(n_candidates,) + base.shape)
     candidates = np.clip(base + offsets, 0.0, arena)
 
-    current_count = int(_covered_counts(base, targets, inp.sr))
-    counts = _covered_counts(candidates, targets, inp.sr)
+    current_count = int(observation_matrix(base, targets, inp.sr).any(axis=0).sum())
+    counts = observation_matrix(candidates, targets, inp.sr).any(axis=-2).sum(axis=-1)
     best = int(np.argmax(counts))
     if int(counts[best]) > current_count:
         return _rows_to_points(candidates[best])
@@ -150,9 +94,10 @@ def _hc_family(
     tied = counts == current_count
     if not bool(tied.any()):
         return list(inp.current_destinations)
-    spreads = np.where(tied, _pairwise_means(candidates), -np.inf)
+    spreads = np.where(tied, mean_pairwise_observer_distance(candidates), -np.inf)
     pick = _rows_to_points(candidates[int(np.argmax(spreads))])
-    # Settle the adoption with the scalar metric so the guarantee is exact.
+    # Settle the adoption with two single-set calls so the guarantee is exact:
+    # a batched mean may differ from a single-set one in the last bit.
     if mean_pairwise_observer_distance(pick) > mean_pairwise_observer_distance(
         inp.current_destinations
     ):

@@ -8,8 +8,10 @@ trajectories are identical no matter which controller is being exercised.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,12 +25,11 @@ from .controllers import (
     kmeans_control,
 )
 from .geometry import Point
-from .metrics import MetricsAccumulator, accumulate, finalize_rho, observation_matrix
+from .metrics import finalize_rho, observation_matrix
 from .world import (
     ObserverState,
     PlanarGraph,
     TargetState,
-    WorldState,
     generate_random_graph,
     random_target_state,
     step_observer,
@@ -83,6 +84,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("width", "height", "sr", "rv", "ur", "perturb_mag"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("steps", "n_observers", "n_targets", "n_vertices", "n_candidates", "horizon", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.width <= 0.0 or self.height <= 0.0:
             raise ValueError(f"arena must have positive dimensions, got {self.width} x {self.height}")
         if self.steps < 1:
@@ -101,6 +110,8 @@ class SimConfig:
             raise ValueError(f"update rate must be in (0, 1], got {self.ur}")
         if self.n_candidates < 1:
             raise ValueError(f"need at least 1 candidate, got {self.n_candidates}")
+        if self.perturb_mag < 0.0:
+            raise ValueError(f"perturbation magnitude must be >= 0, got {self.perturb_mag}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
 
@@ -188,36 +199,32 @@ def run_simulation(
         for x, y in coords
     )
 
-    state = WorldState(t=0, graph=graph, targets=targets, observers=observers)
     target_pts = tuple(target_point(graph, s) for s in targets)
-    acc = MetricsAccumulator()
+    observed_sum = 0
     counts: list[int] = []
     trace: list[tuple[Point, ...]] = []
-    for t in range(1, cfg.steps + 1):
-        if should_update(state.t, cfg.ur):
+    for t in range(cfg.steps):
+        if should_update(t, cfg.ur):
             destinations = _next_destinations(
-                cfg, graph, state.targets, target_pts, state.observers, streams.controller
+                cfg, graph, targets, target_pts, observers, streams.controller
             )
             observers = tuple(
-                replace(o, destination=d) for o, d in zip(state.observers, destinations)
+                ObserverState(o.position, d, o.speed) for o, d in zip(observers, destinations)
             )
-        else:
-            observers = state.observers
-        targets = tuple(step_target(graph, s, streams.targets) for s in state.targets)
+        targets = tuple(step_target(graph, s, streams.targets) for s in targets)
         observers = tuple(step_observer(o) for o in observers)
-        state = WorldState(t=t, graph=graph, targets=targets, observers=observers)
         target_pts = tuple(target_point(graph, s) for s in targets)
-        matrix = observation_matrix(
-            [o.position for o in observers], target_pts, cfg.sr
+        observed = int(
+            observation_matrix([o.position for o in observers], target_pts, cfg.sr).any(axis=0).sum()
         )
-        acc = accumulate(acc, matrix)
+        observed_sum += observed
         if record_counts:
-            counts.append(matrix.observed_targets())
+            counts.append(observed)
         if record_targets:
             trace.append(target_pts)
 
     return RunResult(
-        rho=finalize_rho(acc, cfg.n_targets),
+        rho=finalize_rho(observed_sum, cfg.steps, cfg.n_targets),
         seed=cfg.seed,
         config=cfg,
         wall_time=time.perf_counter() - start,

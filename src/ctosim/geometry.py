@@ -104,18 +104,6 @@ def circumcircle_contains(t: Triangle, points: Sequence[Point], p: Point) -> boo
     return det > PREDICATE_EPS * scale
 
 
-def _contains_lenient(t: Triangle, points: Sequence[Point], p: Point) -> bool:
-    """In-circle test used during construction; degenerate triangles never match."""
-    pa, pb, pc = points[t.a], points[t.b], points[t.c]
-    orient, oscale = _orient_det(pa, pb, pc)
-    if abs(orient) <= PREDICATE_EPS * oscale:
-        return False
-    det, scale = _incircle_det(pa, pb, pc, p)
-    if orient < 0.0:
-        det = -det
-    return det > PREDICATE_EPS * scale
-
-
 def _has_spanning_triple(points: Sequence[Point]) -> bool:
     """True when some triple of points is not collinear (within tolerance)."""
     p0 = points[0]
@@ -162,7 +150,13 @@ def delaunay_triangulate(points: Sequence[Point]) -> list[Triangle]:
     triangles = [Triangle(n, n + 1, n + 2)]
     for i in range(n):
         p = ext[i]
-        bad = [t for t in triangles if _contains_lenient(t, ext, p)]
+        bad = []
+        for t in triangles:
+            try:
+                if circumcircle_contains(t, ext, p):
+                    bad.append(t)
+            except ValueError:
+                pass  # a degenerate triangle is never part of the cavity
         if not bad:
             # Numerically filtered out of every cavity; the caller resamples.
             raise TriangulationError(f"point {i} could not be inserted")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -117,23 +118,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     cells = [(ctrl, value) for ctrl in spec.controllers for value in spec.values]
     configs = [cfg for ctrl, value in cells for cfg in _cell_configs(spec, ctrl, value)]
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_simulation, cfg) for cfg in configs]
-            results = []
-            for cfg, fut in zip(configs, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    raise HarnessError(
-                        f"run failed: controller={cfg.controller.value} "
-                        f"{spec.varied}={getattr(cfg, spec.varied)} seed={cfg.seed}: {exc}"
-                    ) from exc
-    else:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        outcomes = (pool.map if pool else map)(run_simulation, configs)
         results = []
         for cfg in configs:
             try:
-                results.append(run_simulation(cfg))
+                results.append(next(outcomes))
             except Exception as exc:
                 raise HarnessError(
                     f"run failed: controller={cfg.controller.value} "

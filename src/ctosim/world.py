@@ -90,16 +90,6 @@ class ObserverState:
     speed: float = 1.0
 
 
-@dataclass(frozen=True)
-class WorldState:
-    """Snapshot of the simulation at integer time t."""
-
-    t: int
-    graph: PlanarGraph
-    targets: tuple[TargetState, ...]
-    observers: tuple[ObserverState, ...]
-
-
 def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]) -> bool:
     n = len(adjacency)
     if n == 0:

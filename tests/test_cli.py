@@ -54,6 +54,14 @@ class TestSimulate:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_infinite_speed_is_one_error_line(self, capsys):
+        # rv=inf used to walk forever inside the first target step
+        code, out, err = run_main(["simulate", "--rv", "inf"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: rv must be a finite number")
+        assert err.count("\n") == 1
+
     def test_unknown_algorithm_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--algorithm", "dqn"])

@@ -16,14 +16,13 @@ import pytest
 from ctosim.controllers import (
     ControlInput,
     ControllerKind,
-    evaluate_candidate,
     hc_control,
     hc_h_control,
     hc_hp_control,
     kmeans_control,
-    perturb,
 )
 from ctosim.geometry import Point
+from ctosim.metrics import mean_pairwise_observer_distance, observation_matrix
 from ctosim.world import (
     generate_random_graph,
     predict_target,
@@ -48,6 +47,13 @@ def _mk_input(dests, targets, sr, seed, positions=None):
         arena=ARENA,
         rng=np.random.default_rng(seed),
     )
+
+
+def score(dests, targets, sr) -> tuple[float, float]:
+    """A destination vector's (coverage, spread), scored as if observers
+    already stood there; tuples compare lexicographically."""
+    covered = int(observation_matrix(dests, targets, sr).any(axis=0).sum())
+    return covered / len(targets), mean_pairwise_observer_distance(dests)
 
 
 def _loop_mean_pairwise(rows) -> float:
@@ -127,9 +133,9 @@ def test_controller_kind_parse():
 class TestEvaluateCandidate:
     def test_scores_the_candidate_positions_not_the_current_ones(self):
         # score is computed as if observers stood at the candidate already
-        score = evaluate_candidate(_pts([(10, 10), (90, 90)]), _pts([(12, 10), (88, 90)]), 5.0)
-        assert score.rho_new == 1.0
-        assert math.isclose(score.rho_ob, math.dist((10, 10), (90, 90)), rel_tol=1e-12)
+        rho_new, rho_ob = score(_pts([(10, 10), (90, 90)]), _pts([(12, 10), (88, 90)]), 5.0)
+        assert rho_new == 1.0
+        assert math.isclose(rho_ob, math.dist((10, 10), (90, 90)), rel_tol=1e-12)
 
     def test_agrees_with_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -137,30 +143,39 @@ class TestEvaluateCandidate:
             dests = rng.uniform(0.0, 150.0, size=(4, 2)).tolist()
             tgts = rng.uniform(0.0, 150.0, size=(7, 2)).tolist()
             sr = float(rng.uniform(2.0, 40.0))
-            score = evaluate_candidate(_pts(dests), _pts(tgts), sr)
-            assert score.rho_new == observed_count_loops(dests, tgts, sr) / 7
+            rho_new, _ = score(_pts(dests), _pts(tgts), sr)
+            assert rho_new == observed_count_loops(dests, tgts, sr) / 7
 
 
 class TestPerturb:
+    """The hill climbers' candidates: each coordinate of the current
+    destinations nudged by U[-mag, mag], then clamped to the arena."""
+
     def test_stays_within_arena_and_magnitude(self):
-        rng = np.random.default_rng(0)
+        # no candidate can see the far target, so hc-h adopts the most
+        # spread-out candidate whenever it beats the current spread
         base = [(0.0, 0.0), (149.0, 149.0), (75.0, 75.0)]
-        for _ in range(100):
-            out = perturb(_pts(base), ARENA, rng, mag=10.0)
+        adopted = 0
+        for seed in range(100):
+            out = hc_h_control(_mk_input(base, [(0.0, 150.0)], 1.0, seed), 5, mag=10.0)
+            adopted += out != _pts(base)
             for (bx, by), p in zip(base, out):
                 assert 0.0 <= p.x <= 150.0 and 0.0 <= p.y <= 150.0
                 assert abs(p.x - bx) <= 10.0 and abs(p.y - by) <= 10.0
+        assert adopted > 0
 
     def test_deterministic_per_seed(self):
-        base = _pts([(10, 10), (20, 20)])
-        a = perturb(base, ARENA, np.random.default_rng(3))
-        b = perturb(base, ARENA, np.random.default_rng(3))
+        base = [(10, 10), (20, 20)]
+        a = hc_h_control(_mk_input(base, [(140, 140)], 1.0, 3), 5)
+        b = hc_h_control(_mk_input(base, [(140, 140)], 1.0, 3), 5)
         assert a == b
 
     def test_input_not_mutated(self):
         base = _pts([(10.0, 10.0)])
-        perturb(base, ARENA, np.random.default_rng(0))
+        inp = _mk_input(base, [(10.5, 10.0)], 5.0, 0)
+        hc_control(inp, 20)
         assert base == [Point(10.0, 10.0)]
+        assert inp.current_destinations == (Point(10.0, 10.0),)
 
 
 class TestHillClimb:
@@ -234,9 +249,9 @@ class TestHillClimbWithDispersion:
             sr = float(rng.uniform(2.0, 30.0))
             inp = _mk_input(dests, targets, sr, seed=trial)
             out = hc_h_control(inp, 50)
-            before = evaluate_candidate(_pts(dests), _pts(targets), sr)
-            after = evaluate_candidate(out, _pts(targets), sr)
-            assert (after.rho_new, after.rho_ob) >= (before.rho_new, before.rho_ob)
+            before = score(_pts(dests), _pts(targets), sr)
+            after = score(out, _pts(targets), sr)
+            assert after >= before
 
 
 class TestHillClimbWithPrediction:

@@ -46,11 +46,30 @@ class TestSimConfigValidation:
             dict(ur=1.5),
             dict(n_candidates=0),
             dict(horizon=-1),
+            dict(rv=math.inf),
+            dict(sr=math.nan),
+            dict(width=math.nan),
+            dict(height=-math.inf),
+            dict(ur=math.nan),
+            dict(perturb_mag=math.inf),
+            dict(perturb_mag=-1.0),
+            dict(sr=True),
+            dict(sr="15"),
+            dict(steps=True),
+            dict(steps=10.0),
+            dict(n_targets=False),
+            dict(n_candidates=2.5),
+            dict(horizon=None),
+            dict(seed=1.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_accepts_integer_lengths_and_numpy_integers(self):
+        cfg = SimConfig(width=150, sr=15, steps=np.int64(10), seed=np.int64(3), perturb_mag=0.0)
+        assert run_simulation(cfg).rho == run_simulation(SimConfig(steps=10, seed=3, perturb_mag=0.0)).rho
 
 
 class TestUpdateSchedule:
@@ -146,3 +165,22 @@ class TestRunSimulation:
             [run_simulation(SimConfig(seed=s, ur=0.05, **SMALL)).rho for s in seeds]
         )
         assert fast >= slow - 0.02
+
+
+# rho.hex() per controller for seeds 0-3 at steps=300, other settings default.
+# The values were taken before the coverage and spread kernels were merged;
+# any change to them is a change of behaviour and must be explained.
+GOLDEN_RHO = {
+    "kmeans": ("0x1.881b4e81b4e81p-1", "0x1.8666666666667p-1", "0x1.8b05b05b05b05p-1", "0x1.6eb851eb851ecp-1"),
+    "hc": ("0x1.4ca8641fdb975p-1", "0x1.5555555555555p-1", "0x1.5147ae147ae15p-1", "0x1.4da740da740dbp-1"),
+    "hc-h": ("0x1.51907f6e5d4c4p-1", "0x1.4a3d70a3d70a4p-1", "0x1.4a987654320ffp-1", "0x1.5320fedcba987p-1"),
+    "hc-hp": ("0x1.60eca8641fdb9p-1", "0x1.6f0123456789bp-1", "0x1.5eeeeeeeeeeefp-1", "0x1.56af37c048d15p-1"),
+}
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind), ids=lambda k: k.value)
+def test_rho_is_bitwise_pinned(kind):
+    got = tuple(
+        run_simulation(SimConfig(controller=kind, steps=300, seed=s)).rho.hex() for s in range(4)
+    )
+    assert got == GOLDEN_RHO[kind.value]

@@ -24,6 +24,11 @@ from ctosim.harness import (
     run_sweep,
 )
 
+def boom(cfg):
+    """A run that always fails; module level so that it pickles to workers."""
+    raise RuntimeError("synthetic failure")
+
+
 SMALL_BASE = SimConfig(steps=120, n_vertices=12, n_observers=4, n_targets=6)
 
 
@@ -156,13 +161,11 @@ class TestRunSweep:
         assert [r.result.rho for r in serial.records] == [r.result.rho for r in parallel.records]
         assert serial.summaries == parallel.summaries
 
-    def test_failures_name_the_cell(self, monkeypatch):
-        def boom(cfg):
-            raise RuntimeError("synthetic failure")
-
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_name_the_cell(self, monkeypatch, jobs):
         monkeypatch.setattr(harness, "run_simulation", boom)
-        with pytest.raises(HarnessError, match=r"controller=hc sr=5\.0 seed=0"):
-            run_sweep(small_spec())
+        with pytest.raises(HarnessError, match=r"controller=hc sr=5\.0 seed=0: synthetic failure"):
+            run_sweep(small_spec(), jobs=jobs)
 
 
 class TestEmitCsv:
