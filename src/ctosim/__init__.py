@@ -1,111 +1,26 @@
-"""Cooperative target observation: simulator, controllers, benchmark harness."""
+"""Cooperative target observation: simulator, controllers, benchmark harness.
 
-from .geometry import (
-    Point,
-    Triangle,
-    TriangulationError,
-    circumcircle_contains,
-    delaunay_triangulate,
-    distance,
-    triangulation_edges,
-)
-from .world import (
-    GraphEdge,
-    GraphGenerationError,
-    ObserverState,
-    PlanarGraph,
-    TargetState,
-    generate_random_graph,
-    predict_target,
-    random_target_state,
-    step_observer,
-    step_target,
-    target_point,
-)
-from .metrics import (
-    finalize_rho,
-    mean_pairwise_observer_distance,
-    observation_matrix,
-)
-from .controllers import (
-    ControlInput,
-    ControllerKind,
-    hc_control,
-    hc_h_control,
-    hc_hp_control,
-    kmeans_control,
-)
-from .engine import (
-    RunResult,
-    SeedStreams,
-    SimConfig,
-    derive_streams,
-    run_simulation,
-    should_update,
-    update_period,
-)
-from .harness import (
-    ALL_CONTROLLERS,
-    CellSummary,
-    HarnessError,
-    RunRecord,
-    SweepResult,
-    SweepSpec,
-    RV_VALUES,
-    SR_VALUES,
-    UR_VALUES,
-    emit_csv,
-    emit_plot_script,
-    run_sweep,
-)
+The top level holds what a user needs to run a simulation or a sweep; every
+other name lives in its own module (``ctosim.world.step_target``, ...).
+"""
+
+from .controllers import ControllerKind
+from .engine import RunResult, SimConfig, run_simulation
+from .geometry import Point
+from .harness import HarnessError, SweepResult, SweepSpec, emit_csv, emit_plot_script, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Point",
-    "Triangle",
-    "TriangulationError",
-    "circumcircle_contains",
-    "delaunay_triangulate",
-    "distance",
-    "triangulation_edges",
-    "GraphEdge",
-    "GraphGenerationError",
-    "ObserverState",
-    "PlanarGraph",
-    "TargetState",
-    "generate_random_graph",
-    "predict_target",
-    "random_target_state",
-    "step_observer",
-    "step_target",
-    "target_point",
-    "finalize_rho",
-    "mean_pairwise_observer_distance",
-    "observation_matrix",
-    "ControlInput",
     "ControllerKind",
-    "hc_control",
-    "hc_h_control",
-    "hc_hp_control",
-    "kmeans_control",
-    "RunResult",
-    "SeedStreams",
     "SimConfig",
-    "derive_streams",
+    "RunResult",
     "run_simulation",
-    "should_update",
-    "update_period",
-    "ALL_CONTROLLERS",
-    "CellSummary",
-    "HarnessError",
-    "RunRecord",
-    "SweepResult",
     "SweepSpec",
-    "RV_VALUES",
-    "SR_VALUES",
-    "UR_VALUES",
+    "SweepResult",
+    "HarnessError",
+    "run_sweep",
     "emit_csv",
     "emit_plot_script",
-    "run_sweep",
 ]

@@ -27,6 +27,8 @@ from .metrics import mean_pairwise_observer_distance, observation_matrix
 from .world import PlanarGraph, TargetState, predict_target
 
 DEFAULT_PERTURB_MAG = 10.0
+KMEANS_MAX_ITERS = 50
+KMEANS_TOL = 1e-6
 
 
 class ControllerKind(Enum):
@@ -142,31 +144,30 @@ def hc_hp_control(
     )
 
 
-def kmeans_control(inp: ControlInput, k: int, max_iters: int = 50, tol: float = 1e-6) -> list[Point]:
+def kmeans_control(inp: ControlInput) -> list[Point]:
     """Destinations from Lloyd's algorithm over current target positions.
 
-    Centroids start at the observers' own positions and each observer is
-    sent to its own centroid, so assignments persist across invocations.
-    Clusters left empty keep their previous centroid. Iteration stops when
-    no centroid moves more than ``tol`` or after ``max_iters`` rounds.
+    There is one cluster per observer: centroids start at the observers' own
+    positions and each observer is sent to its own centroid, so assignments
+    persist across invocations. Clusters left empty keep their previous
+    centroid. Iteration stops when no centroid moves more than KMEANS_TOL or
+    after KMEANS_MAX_ITERS rounds.
     """
-    if k != len(inp.observer_points):
-        raise ValueError(f"need one cluster per observer: k={k}, observers={len(inp.observer_points)}")
     if len(inp.target_eval_points) == 0:
         raise ValueError("k-means needs at least one target position")
     pts = np.asarray(inp.target_eval_points, dtype=float)
     centroids = np.asarray(inp.observer_points, dtype=float).copy()
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, pts)
-        sizes = np.bincount(assign, minlength=k)
+        sizes = np.bincount(assign, minlength=len(centroids))
         moved = centroids.copy()
         nonempty = sizes > 0
         moved[nonempty] = sums[nonempty] / sizes[nonempty, None]
         shift = float(np.sqrt(((moved - centroids) ** 2).sum(axis=1)).max())
         centroids = moved
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return _rows_to_points(centroids)

@@ -104,8 +104,9 @@ class SimConfig:
             raise ValueError(f"need at least 3 graph vertices, got {self.n_vertices}")
         if self.sr <= 0.0:
             raise ValueError(f"sensor range must be positive, got {self.sr}")
-        if self.rv <= 0.0:
-            raise ValueError(f"target speed must be positive, got {self.rv}")
+        diagonal = math.hypot(self.width, self.height)
+        if not 0.0 < self.rv <= diagonal:
+            raise ValueError(f"target speed must be in (0, {diagonal:g}], the arena diagonal; got {self.rv}")
         if not 0.0 < self.ur <= 1.0:
             raise ValueError(f"update rate must be in (0, 1], got {self.ur}")
         if self.n_candidates < 1:
@@ -114,6 +115,8 @@ class SimConfig:
             raise ValueError(f"perturbation magnitude must be >= 0, got {self.perturb_mag}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -135,16 +138,6 @@ def update_period(ur: float) -> int:
     return max(1, int(round(1.0 / ur)))
 
 
-def should_update(t: int, ur: float) -> bool:
-    """Whether the controller runs at the start of the step leaving time t.
-
-    Invocations happen every update_period(ur) steps, starting at t = 0.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return t % update_period(ur) == 0
-
-
 def _next_destinations(
     cfg: SimConfig,
     graph: PlanarGraph,
@@ -162,7 +155,7 @@ def _next_destinations(
         rng=rng,
     )
     if cfg.controller is ControllerKind.KMEANS:
-        return kmeans_control(inp, k=cfg.n_observers)
+        return kmeans_control(inp)
     if cfg.controller is ControllerKind.HC:
         return hc_control(inp, cfg.n_candidates, mag=cfg.perturb_mag)
     if cfg.controller is ControllerKind.HC_H:
@@ -200,16 +193,17 @@ def run_simulation(
     )
 
     target_pts = tuple(target_point(graph, s) for s in targets)
+    period = update_period(cfg.ur)
     observed_sum = 0
     counts: list[int] = []
     trace: list[tuple[Point, ...]] = []
     for t in range(cfg.steps):
-        if should_update(t, cfg.ur):
+        if t % period == 0:
             destinations = _next_destinations(
                 cfg, graph, targets, target_pts, observers, streams.controller
             )
             observers = tuple(
-                ObserverState(o.position, d, o.speed) for o, d in zip(observers, destinations)
+                ObserverState(o.position, d) for o, d in zip(observers, destinations)
             )
         targets = tuple(step_target(graph, s, streams.targets) for s in targets)
         observers = tuple(step_observer(o) for o in observers)

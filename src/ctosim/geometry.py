@@ -29,9 +29,6 @@ class Triangle(NamedTuple):
     b: int
     c: int
 
-    def indices(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
 
 class TriangulationError(ValueError):
     """The input point set has no valid triangulation."""

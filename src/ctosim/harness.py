@@ -69,6 +69,8 @@ class SweepSpec:
             raise ValueError("at least one controller is required")
         if self.runs_per_cell < 1:
             raise ValueError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,6 @@ class RunRecord:
     """One completed run inside a sweep."""
 
     controller: ControllerKind
-    varied: str
     value: float
     result: RunResult
 
@@ -87,7 +88,6 @@ class CellSummary:
     standard deviation of the coverage index over runs."""
 
     controller: ControllerKind
-    varied: str
     value: float
     m: float
     sd: float
@@ -137,7 +137,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         cell_results = results[idx : idx + spec.runs_per_cell]
         idx += spec.runs_per_cell
         records.extend(
-            RunRecord(controller=ctrl, varied=spec.varied, value=value, result=r)
+            RunRecord(controller=ctrl, value=value, result=r)
             for r in cell_results
         )
         rhos = [r.rho for r in cell_results]
@@ -145,7 +145,6 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         summaries.append(
             CellSummary(
                 controller=ctrl,
-                varied=spec.varied,
                 value=value,
                 m=statistics.mean(rhos),
                 sd=sd,
@@ -182,7 +181,7 @@ def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
             writer.writerow(
                 [
                     rec.controller.value,
-                    rec.varied,
+                    result.varied,
                     _fmt_value(rec.value),
                     _fmt_value(cfg.sr),
                     _fmt_value(cfg.rv),
@@ -200,7 +199,7 @@ def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
             writer.writerow(
                 [
                     cell.controller.value,
-                    cell.varied,
+                    result.varied,
                     _fmt_value(cell.value),
                     f"{cell.m:.6f}",
                     f"{cell.sd:.6f}",

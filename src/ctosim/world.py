@@ -87,7 +87,6 @@ class ObserverState:
 
     position: Point
     destination: Point
-    speed: float = 1.0
 
 
 def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]) -> bool:
@@ -241,7 +240,7 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
 
 
 def step_observer(state: ObserverState) -> ObserverState:
-    """Move an observer up to ``speed`` straight toward its destination.
+    """Move an observer up to one unit straight toward its destination.
 
     Arrival within one step's reach snaps exactly onto the destination;
     the observer then holds position until given a new destination.
@@ -250,10 +249,10 @@ def step_observer(state: ObserverState) -> ObserverState:
     dx = state.destination.x - px
     dy = state.destination.y - py
     gap = math.hypot(dx, dy)
-    if gap <= state.speed:
-        return ObserverState(state.destination, state.destination, state.speed)
-    f = state.speed / gap
-    return ObserverState(Point(px + f * dx, py + f * dy), state.destination, state.speed)
+    if gap <= 1.0:
+        return ObserverState(state.destination, state.destination)
+    f = 1.0 / gap
+    return ObserverState(Point(px + f * dx, py + f * dy), state.destination)
 
 
 def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> Point:

@@ -59,7 +59,7 @@ def delaunay_violations(points: Sequence[XY], triangles) -> list[tuple[int, int]
     """
     bad = []
     for ti, tri in enumerate(triangles):
-        corners = set(tri.indices())
+        corners = set(tri)
         ux, uy, r2 = circumcircle_center(points[tri.a], points[tri.b], points[tri.c])
         for pi, (px, py) in enumerate(points):
             if pi in corners:

@@ -2,14 +2,15 @@
 
 Criteria 1-6 are property checks that run in seconds. Criteria 7-10 share a
 benchmark grid (three sweeps x four controllers x five values x twenty seeds,
-full-size worlds) that takes several minutes on one core; it is built once
-per session. Criterion 9 is a soft value check: a miss is reported with the
-per-seed breakdown but never fails the build.
+full-size worlds) that takes several minutes; it is built once per session,
+on up to four worker processes. Criterion 9 is a soft value check: a miss is
+reported with the per-seed breakdown but never fails the build.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -46,9 +47,10 @@ ARENA = (150.0, 150.0)
 @pytest.fixture(scope="session")
 def grid():
     """Mean/sd summaries and per-run records for all three standard sweeps."""
+    jobs = min(4, os.cpu_count() or 1)
     out = {}
     for varied in ("sr", "rv", "ur"):
-        out[varied] = run_sweep(SweepSpec(varied=varied))
+        out[varied] = run_sweep(SweepSpec(varied=varied), jobs=jobs)
     return out
 
 

@@ -62,6 +62,14 @@ class TestSimulate:
         assert err.startswith("error: rv must be a finite number")
         assert err.count("\n") == 1
 
+    def test_speed_beyond_the_arena_diagonal_is_one_error_line(self, capsys):
+        # rv=1e12 used to walk about 1e11 vertex crossings inside the first step
+        code, out, err = run_main(["simulate", "--rv", "1e12", "--steps", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: target speed must be in (0, ")
+        assert err.count("\n") == 1
+
     def test_unknown_algorithm_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--algorithm", "dqn"])

@@ -317,7 +317,7 @@ class TestKmeans:
     def test_two_clear_groups(self):
         targets = [(9.0, 9.0), (11.0, 10.0), (10.0, 12.0), (89.0, 91.0), (91.0, 90.0), (90.0, 88.0)]
         inp = _mk_input([(10.0, 10.0), (90.0, 90.0)], targets, 15.0, 0)
-        out = kmeans_control(inp, k=2)
+        out = kmeans_control(inp)
         assert math.isclose(out[0].x, 10.0, abs_tol=1e-9)
         assert math.isclose(out[0].y, 31.0 / 3.0, abs_tol=1e-9)
         assert math.isclose(out[1].x, 90.0, abs_tol=1e-9)
@@ -332,29 +332,25 @@ class TestKmeans:
             15.0,
             0,
         )
-        out = kmeans_control(inp, k=3)
+        out = kmeans_control(inp)
         assert out == _pts([(0.0, 0.0), (50.0, 50.0), (100.0, 100.0)])
 
     def test_already_converged_positions_do_not_move(self):
         targets = [(9.0, 9.0), (11.0, 11.0), (89.0, 89.0), (91.0, 91.0)]
         inp = _mk_input([(10.0, 10.0), (90.0, 90.0)], targets, 15.0, 0)
-        assert kmeans_control(inp, k=2) == _pts([(10.0, 10.0), (90.0, 90.0)])
+        assert kmeans_control(inp) == _pts([(10.0, 10.0), (90.0, 90.0)])
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         obs = rng.uniform(0.0, 150.0, size=(5, 2)).tolist()
         tgt = rng.uniform(0.0, 150.0, size=(20, 2)).tolist()
-        a = kmeans_control(_mk_input(obs, tgt, 15.0, 0), k=5)
-        b = kmeans_control(_mk_input(obs, tgt, 15.0, 1), k=5)  # rng is unused
+        a = kmeans_control(_mk_input(obs, tgt, 15.0, 0))
+        b = kmeans_control(_mk_input(obs, tgt, 15.0, 1))  # rng is unused
         assert a == b
-
-    def test_k_must_match_observer_count(self):
-        with pytest.raises(ValueError, match="one cluster per observer"):
-            kmeans_control(_mk_input([(0, 0), (1, 1)], [(5, 5)], 5.0, 0), k=3)
 
     def test_needs_targets(self):
         with pytest.raises(ValueError, match="at least one target"):
-            kmeans_control(_mk_input([(0, 0)], [], 5.0, 0), k=1)
+            kmeans_control(_mk_input([(0, 0)], [], 5.0, 0))
 
     @staticmethod
     def _wcss(rows, cents):
@@ -370,8 +366,8 @@ class TestKmeans:
         for _ in range(30):
             obs = rng.uniform(0.0, 150.0, size=(4, 2)).tolist()
             tgt = rng.uniform(0.0, 150.0, size=(20, 2)).tolist()
-            out = kmeans_control(_mk_input(obs, tgt, 15.0, 0), k=4)
-            again = kmeans_control(_mk_input(_as_rows(out), tgt, 15.0, 0), k=4)
+            out = kmeans_control(_mk_input(obs, tgt, 15.0, 0))
+            again = kmeans_control(_mk_input(_as_rows(out), tgt, 15.0, 0))
             assert np.allclose(_as_rows(out), _as_rows(again), atol=1e-6)
 
     def test_never_worse_than_the_start(self):
@@ -379,7 +375,7 @@ class TestKmeans:
         for _ in range(30):
             obs = rng.uniform(0.0, 150.0, size=(5, 2)).tolist()
             tgt = rng.uniform(0.0, 150.0, size=(25, 2)).tolist()
-            out = kmeans_control(_mk_input(obs, tgt, 15.0, 0), k=5)
+            out = kmeans_control(_mk_input(obs, tgt, 15.0, 0))
             assert self._wcss(tgt, _as_rows(out)) <= self._wcss(tgt, obs) + 1e-9
 
     def test_matches_reference_lloyd_from_same_start(self):
@@ -405,6 +401,6 @@ class TestKmeans:
         for _ in range(50):
             obs = rng.uniform(0.0, 150.0, size=(4, 2))
             tgt = rng.uniform(0.0, 150.0, size=(20, 2))
-            out = kmeans_control(_mk_input(obs.tolist(), tgt.tolist(), 15.0, 0), k=4)
+            out = kmeans_control(_mk_input(obs.tolist(), tgt.tolist(), 15.0, 0))
             want = reference(tgt, obs)
             assert np.allclose(_as_rows(out), want, atol=1e-9)

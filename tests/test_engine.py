@@ -8,12 +8,12 @@ import math
 import numpy as np
 import pytest
 
+import ctosim.engine as engine
 from ctosim.controllers import ControllerKind
 from ctosim.engine import (
     SimConfig,
     derive_streams,
     run_simulation,
-    should_update,
     update_period,
 )
 
@@ -61,6 +61,8 @@ class TestSimConfigValidation:
             dict(n_candidates=2.5),
             dict(horizon=None),
             dict(seed=1.0),
+            dict(seed=-1),
+            dict(rv=1e12),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -80,16 +82,39 @@ class TestUpdateSchedule:
         assert update_period(0.1) == 10
         assert update_period(0.05) == 20
 
-    def test_should_update_pattern(self):
-        hits = [t for t in range(12) if should_update(t, 0.25)]
+    @staticmethod
+    def _controller_times(monkeypatch, ur, steps):
+        """The steps t at which run_simulation invokes the controller.
+
+        The engine senses once per step after motion, so the number of
+        sensing calls so far is the t of the step the controller starts.
+        """
+        sensed, hits = [], []
+
+        def count_sense(*args):
+            sensed.append(None)
+            return observe(*args)
+
+        def record_call(*args, **kwargs):
+            hits.append(len(sensed))
+            return control(*args, **kwargs)
+
+        observe, control = engine.observation_matrix, engine.hc_h_control
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "observation_matrix", count_sense)
+            patch.setattr(engine, "hc_h_control", record_call)
+            run_simulation(SimConfig(**dict(SMALL, steps=steps), ur=ur, controller=ControllerKind.HC_H))
+        return hits
+
+    def test_should_update_pattern(self, monkeypatch):
+        hits = self._controller_times(monkeypatch, 0.25, 12)
         assert hits == [0, 4, 8]
-        assert all(should_update(t, 1.0) for t in range(5))
+        every = self._controller_times(monkeypatch, 1.0, 5)
+        assert all(t in every for t in range(5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             update_period(0.0)
-        with pytest.raises(ValueError):
-            should_update(-1, 0.5)
 
 
 class TestSeedStreams:

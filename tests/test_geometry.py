@@ -105,7 +105,7 @@ class TestDelaunayTriangulate:
         pts = [Point(0.0, 0.0), Point(10.0, 0.0), Point(0.0, 10.0)]
         tris = delaunay_triangulate(pts)
         assert len(tris) == 1
-        assert set(tris[0].indices()) == {0, 1, 2}
+        assert set(tris[0]) == {0, 1, 2}
 
     def test_square_splits_into_two_triangles(self):
         pts = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 10.0), Point(0.0, 10.0)]
@@ -141,7 +141,7 @@ class TestDelaunayTriangulate:
             tris = delaunay_triangulate(pts)
             usage: dict[tuple[int, int], int] = {}
             for t in tris:
-                i, j, k = t.indices()
+                i, j, k = t
                 for u, v in ((i, j), (j, k), (i, k)):
                     key = (min(u, v), max(u, v))
                     usage[key] = usage.get(key, 0) + 1
@@ -164,7 +164,7 @@ class TestDelaunayTriangulate:
         tris = delaunay_triangulate(pts)
         used = set()
         for t in tris:
-            used.update(t.indices())
+            used.update(t)
         assert used == set(range(30))
 
     def test_deterministic_output(self):

@@ -78,6 +78,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="runs_per_cell"):
             SweepSpec(varied="sr", runs_per_cell=0)
 
+    def test_rejects_negative_base_seed(self):
+        with pytest.raises(ValueError, match="base_seed"):
+            SweepSpec(varied="sr", base_seed=-1)
+
 
 @pytest.fixture(scope="module")
 def two_controller_result():

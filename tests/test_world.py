@@ -270,10 +270,6 @@ class TestStepObserver:
         s = step_observer(ObserverState(Point(0.0, 0.0), Point(30.0, 40.0)))
         assert math.isclose(math.hypot(s.position.x, s.position.y), 1.0, rel_tol=1e-12)
 
-    def test_custom_speed(self):
-        s = step_observer(ObserverState(Point(0.0, 0.0), Point(10.0, 0.0), speed=2.5))
-        assert s.position == Point(2.5, 0.0)
-
 
 class TestPredictTarget:
     def test_horizon_zero_matches_current_position(self):
