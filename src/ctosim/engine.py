@@ -27,6 +27,7 @@ from .controllers import (
 from .geometry import Point
 from .metrics import finalize_rho, observation_matrix
 from .world import (
+    MAX_VERTICES,
     ObserverState,
     PlanarGraph,
     TargetState,
@@ -100,8 +101,8 @@ class SimConfig:
             raise ValueError(f"need at least 1 observer, got {self.n_observers}")
         if self.n_targets < 1:
             raise ValueError(f"need at least 1 target, got {self.n_targets}")
-        if self.n_vertices < 3:
-            raise ValueError(f"need at least 3 graph vertices, got {self.n_vertices}")
+        if not 3 <= self.n_vertices <= MAX_VERTICES:
+            raise ValueError(f"need 3 to {MAX_VERTICES} graph vertices, got {self.n_vertices}")
         if self.sr <= 0.0:
             raise ValueError(f"sensor range must be positive, got {self.sr}")
         diagonal = math.hypot(self.width, self.height)

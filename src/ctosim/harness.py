@@ -113,8 +113,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Execute every cell of a sweep and summarize it.
 
     With jobs > 1 runs are distributed over worker processes; results are
-    merged back in seed order, so the output is identical either way.
+    merged back in seed order, so the output is identical either way. Raises
+    ValueError for jobs < 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = [(ctrl, value) for ctrl in spec.controllers for value in spec.values]
     configs = [cfg for ctrl, value in cells for cfg in _cell_configs(spec, ctrl, value)]
 

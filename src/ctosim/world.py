@@ -14,7 +14,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Point, distance, delaunay_triangulate, triangulation_edges, TriangulationError
+from .geometry import Point, distance, delaunay_triangulate, triangulation_edges
+
+#: Most graph vertices a world may have: triangulation is O(n⁴) work.
+MAX_VERTICES = 100
 
 
 class GraphEdge(NamedTuple):
@@ -107,40 +110,6 @@ def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]
     return all(seen)
 
 
-def _delaunay_offender(coords: np.ndarray, triangles) -> int | None:
-    """Index of a point strictly inside some triangle's circumcircle, else None.
-
-    Vectorized counterpart of the scalar predicate, used to validate freshly
-    generated triangulations cheaply. The relative tolerance mirrors the
-    predicate's: points within ~1e-9 of the circle are not offenders.
-    """
-    if not triangles:
-        return 0
-    tri = np.asarray([(t.a, t.b, t.c) for t in triangles], dtype=int)
-    a = coords[tri[:, 0]]
-    b = coords[tri[:, 1]]
-    c = coords[tri[:, 2]]
-    d = 2.0 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1]) + c[:, 0] * (a[:, 1] - b[:, 1]))
-    if np.any(np.abs(d) < 1e-12):
-        return 0  # degenerate sliver slipped through; force a resample
-    a2 = (a * a).sum(axis=1)
-    b2 = (b * b).sum(axis=1)
-    c2 = (c * c).sum(axis=1)
-    ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
-    uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
-    centers = np.stack([ux, uy], axis=1)
-    r2 = ((a - centers) ** 2).sum(axis=1)
-    diff = coords[None, :, :] - centers[:, None, :]
-    dist2 = (diff * diff).sum(axis=2)
-    inside = dist2 < r2[:, None] * (1.0 - 1e-9)
-    rows = np.arange(len(tri))
-    inside[rows, tri[:, 0]] = False
-    inside[rows, tri[:, 1]] = False
-    inside[rows, tri[:, 2]] = False
-    hits = np.nonzero(inside.any(axis=0))[0]
-    return int(hits[0]) if hits.size else None
-
-
 def generate_random_graph(
     n_vertices: int,
     width: float,
@@ -151,39 +120,26 @@ def generate_random_graph(
     """Delaunay triangulation of points drawn uniformly over the arena.
 
     Draws n_vertices points, triangulates, and validates the result
-    (empty circumcircles, connectivity, minimum degree). A point taking part
-    in a near-cocircular degeneracy is resampled; wholesale failures resample
-    the full set. Raises GraphGenerationError after max_attempts attempts,
-    ValueError for invalid arguments.
+    (connectivity, minimum degree). A draw that cannot be triangulated
+    uniquely (points on one circle or one line, within rounding error) or
+    fails validation is replaced by a fresh draw of the full set. Raises
+    GraphGenerationError after max_attempts attempts, ValueError for invalid
+    arguments, including more than MAX_VERTICES vertices.
     """
-    if n_vertices < 3:
-        raise ValueError(f"need at least 3 vertices, got {n_vertices}")
+    if not 3 <= n_vertices <= MAX_VERTICES:
+        raise ValueError(f"need 3 to {MAX_VERTICES} vertices, got {n_vertices}")
     if width <= 0.0 or height <= 0.0:
         raise ValueError(f"arena dimensions must be positive, got {width} x {height}")
 
     high = np.asarray([width, height], dtype=float)
-    coords = rng.uniform(0.0, high, size=(n_vertices, 2))
     for _ in range(max_attempts):
-        points = [Point(float(x), float(y)) for x, y in coords]
-        try:
-            triangles = delaunay_triangulate(points)
-        except TriangulationError:
-            coords = rng.uniform(0.0, high, size=(n_vertices, 2))
-            continue
-        offender = _delaunay_offender(coords, triangles)
-        if offender is not None:
-            coords = coords.copy()
-            coords[offender] = rng.uniform(0.0, high, size=2)
-            continue
-        try:
-            graph = PlanarGraph.from_index_pairs(points, triangulation_edges(triangles))
+        points = [Point(float(x), float(y)) for x, y in rng.uniform(0.0, high, size=(n_vertices, 2))]
+        try:  # TriangulationError is a ValueError
+            graph = PlanarGraph.from_index_pairs(points, triangulation_edges(delaunay_triangulate(points)))
         except ValueError:
-            coords = rng.uniform(0.0, high, size=(n_vertices, 2))
             continue
-        if not _is_connected(graph.adjacency, graph.edges):
-            coords = rng.uniform(0.0, high, size=(n_vertices, 2))
-            continue
-        return graph
+        if _is_connected(graph.adjacency, graph.edges):
+            return graph
     raise GraphGenerationError(f"no valid graph after {max_attempts} attempts")
 
 

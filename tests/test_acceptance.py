@@ -410,8 +410,8 @@ def test_trend_check_fails_a_consistent_inversion(direction):
 
 @pytest.mark.parametrize("direction", ["up", "down"])
 def test_trend_check_passes_a_noise_level_inversion(direction):
-    # the kmeans rv 0.1 -> 0.25 case: a 0.012 wrong-way mean shift with a
-    # paired standard error of 0.011, one-sided p about 0.15
+    # a wrong-way shift within noise, like kmeans rv 0.1 -> 0.25: 0.012 with
+    # a paired standard error of 0.011, one-sided p about 0.15
     sign = 1.0 if direction == "up" else -1.0
     base = 0.7 + 0.05 * _standardised(0)
     inverted = base - sign * (0.012 + 0.05 * _standardised(1))

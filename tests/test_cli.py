@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import ctosim.cli as cli
+import ctosim.harness as harness
 from ctosim.harness import SweepSpec
 
 
@@ -70,6 +71,14 @@ class TestSimulate:
         assert err.startswith("error: target speed must be in (0, ")
         assert err.count("\n") == 1
 
+    def test_too_many_vertices_is_one_error_line(self, capsys):
+        # triangulation is O(n^4) work, so the vertex count is capped up front
+        code, out, err = run_main(["simulate", "--vertices", "101"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: need 3 to 100 graph vertices, got 101")
+        assert err.count("\n") == 1
+
     def test_unknown_algorithm_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--algorithm", "dqn"])
@@ -111,6 +120,14 @@ class TestSweep:
         assert lines == [str(tmp_path / "sr_runs.csv"), str(tmp_path / "sr_summary.csv")]
         assert (tmp_path / "sr_runs.csv").is_file()
         assert (tmp_path / "sr_summary.csv").is_file()
+
+    def test_jobs_below_one_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run_simulation", lambda cfg: pytest.fail("a run started"))
+        code, out, err = run_main(["sweep", "--vary", "sr", "--jobs", "-1", "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: jobs must be >= 1, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_vary_is_required(self):
         with pytest.raises(SystemExit):

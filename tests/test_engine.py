@@ -63,6 +63,7 @@ class TestSimConfigValidation:
             dict(seed=1.0),
             dict(seed=-1),
             dict(rv=1e12),
+            dict(n_vertices=101),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

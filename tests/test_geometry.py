@@ -1,7 +1,8 @@
-"""Triangulation and predicate tests, checked against brute-force oracles."""
+"""Triangulation tests, checked against brute-force oracles and Qhull."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctosim.engine import SimConfig, derive_streams
 from ctosim.geometry import (
     Point,
     Triangle,
     TriangulationError,
-    circumcircle_contains,
     delaunay_triangulate,
     distance,
     triangulation_edges,
@@ -35,55 +36,6 @@ def test_distance_3_4_5():
 def test_distance_symmetry():
     p, q = Point(1.5, -2.0), Point(-7.25, 3.0)
     assert distance(p, q) == distance(q, p)
-
-
-class TestCircumcirclePredicate:
-    # Right triangle (0,0) (10,0) (0,10): circumcenter (5,5), radius sqrt(50).
-    tri = Triangle(0, 1, 2)
-    pts = [Point(0.0, 0.0), Point(10.0, 0.0), Point(0.0, 10.0)]
-
-    def test_point_inside(self):
-        assert circumcircle_contains(self.tri, self.pts, Point(5.0, 5.0))
-
-    def test_point_outside(self):
-        assert not circumcircle_contains(self.tri, self.pts, Point(30.0, 30.0))
-
-    def test_point_on_circle_is_not_inside(self):
-        # (10, 10) is exactly on the circle; containment is strict.
-        assert not circumcircle_contains(self.tri, self.pts, Point(10.0, 10.0))
-
-    def test_orientation_does_not_matter(self):
-        clockwise = [Point(0.0, 0.0), Point(0.0, 10.0), Point(10.0, 0.0)]
-        assert circumcircle_contains(self.tri, clockwise, Point(5.0, 5.0))
-        assert not circumcircle_contains(self.tri, clockwise, Point(10.0, 10.0))
-
-    def test_degenerate_triangle_rejected(self):
-        flat = [Point(0.0, 0.0), Point(5.0, 0.0), Point(10.0, 0.0)]
-        with pytest.raises(ValueError):
-            circumcircle_contains(self.tri, flat, Point(1.0, 1.0))
-
-    def test_agrees_with_center_radius_oracle(self):
-        rng = np.random.default_rng(7)
-        agree = 0
-        for _ in range(300):
-            coords = rng.uniform(0.0, 100.0, size=(4, 2))
-            pts = [Point(float(x), float(y)) for x, y in coords]
-            try:
-                import oracles
-
-                cx, cy, r2 = oracles.circumcircle_center(
-                    tuple(pts[0]), tuple(pts[1]), tuple(pts[2])
-                )
-            except ValueError:
-                continue
-            d2 = (pts[3].x - cx) ** 2 + (pts[3].y - cy) ** 2
-            if abs(d2 - r2) < 1e-6 * max(r2, 1.0):
-                continue  # too close to the boundary to compare meaningfully
-            expected = d2 < r2
-            got = circumcircle_contains(Triangle(0, 1, 2), pts, pts[3])
-            assert got == expected
-            agree += 1
-        assert agree > 250  # the filter should discard almost nothing
 
 
 def _random_points(rng: np.random.Generator, n: int) -> list[Point]:
@@ -108,11 +60,23 @@ class TestDelaunayTriangulate:
         assert set(tris[0]) == {0, 1, 2}
 
     def test_square_splits_into_two_triangles(self):
-        pts = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 10.0), Point(0.0, 10.0)]
-        tris = delaunay_triangulate(pts)
+        # A square is cocircular: both diagonals are Delaunay, so it raises
+        # rather than pick one. With one corner pulled in, the split is unique.
+        square = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 10.0), Point(0.0, 10.0)]
+        with pytest.raises(TriangulationError):
+            delaunay_triangulate(square)
+        quad = square[:3] + [Point(0.0, 9.0)]
+        tris = delaunay_triangulate(quad)
         assert len(tris) == 2
         edges = triangulation_edges(tris)
         assert len(edges) == 5  # four sides plus one diagonal
+        assert (1, 3) in edges  # (0, 9) lies inside the circle through the other three
+
+    @pytest.mark.parametrize("dy, diagonal", [(1e-9, (0, 2)), (-1e-9, (1, 3))])
+    def test_nearly_cocircular_square_gets_the_delaunay_diagonal(self, dy, diagonal):
+        # the fourth corner sits 1e-9 outside (dy > 0) or inside the circle
+        pts = [Point(0.0, 0.0), Point(100.0, 0.0), Point(100.0, 100.0), Point(0.0, 100.0 + dy)]
+        assert diagonal in triangulation_edges(delaunay_triangulate(pts))
 
     def test_empty_circumcircle_property(self):
         rng = np.random.default_rng(42)
@@ -133,21 +97,27 @@ class TestDelaunayTriangulate:
                     assert not segments_cross(*segs[i], *segs[j])
 
     def test_triangle_count_matches_euler_formula(self):
-        # With b = number of boundary edges (edges used by exactly one
-        # triangle), a triangulated disc satisfies T = 2n - 2 - b.
+        # A triangulation of n points with h of them on the convex hull has
+        # T = 2n - 2 - h triangles; h comes from the independent hull oracle.
         rng = np.random.default_rng(3)
         for _ in range(10):
             pts = _random_points(rng, int(rng.integers(5, 40)))
             tris = delaunay_triangulate(pts)
-            usage: dict[tuple[int, int], int] = {}
-            for t in tris:
-                i, j, k = t
-                for u, v in ((i, j), (j, k), (i, k)):
-                    key = (min(u, v), max(u, v))
-                    usage[key] = usage.get(key, 0) + 1
-            assert set(usage.values()) <= {1, 2}  # an edge borders at most 2 faces
-            boundary = sum(1 for n_faces in usage.values() if n_faces == 1)
-            assert len(tris) == 2 * len(pts) - 2 - boundary
+            h = len(convex_hull([(p.x, p.y) for p in pts]))
+            assert len(tris) == 2 * len(pts) - 2 - h
+
+    def test_edges_equal_qhull_on_the_default_graph_stream(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        cfg = SimConfig()
+        for seed in range(500):
+            coords = derive_streams(seed).graph.uniform(0.0, [cfg.width, cfg.height], size=(cfg.n_vertices, 2))
+            qhull = {
+                (min(u, v), max(u, v))
+                for s in spatial.Delaunay(coords).simplices.tolist()
+                for u, v in itertools.combinations(s, 2)
+            }
+            pts = [Point(float(x), float(y)) for x, y in coords]
+            assert triangulation_edges(delaunay_triangulate(pts)) == sorted(qhull), f"seed {seed}"
 
     def test_triangles_tile_the_convex_hull(self):
         rng = np.random.default_rng(11)

@@ -165,6 +165,12 @@ class TestRunSweep:
         assert [r.result.rho for r in serial.records] == [r.result.rho for r in parallel.records]
         assert serial.summaries == parallel.summaries
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, monkeypatch, jobs):
+        monkeypatch.setattr(harness, "run_simulation", boom)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_sweep(small_spec(), jobs=jobs)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failures_name_the_cell(self, monkeypatch, jobs):
         monkeypatch.setattr(harness, "run_simulation", boom)

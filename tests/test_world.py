@@ -118,6 +118,8 @@ class TestGenerateRandomGraph:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             generate_random_graph(2, 150.0, 150.0, rng)
+        with pytest.raises(ValueError, match="3 to 100 vertices"):
+            generate_random_graph(101, 150.0, 150.0, rng)
         with pytest.raises(ValueError):
             generate_random_graph(10, -1.0, 150.0, rng)
 
