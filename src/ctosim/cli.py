@@ -11,6 +11,15 @@ from .engine import SimConfig, run_simulation
 from .harness import SweepSpec, emit_csv, emit_plot_script, run_sweep
 
 
+def _number(text: str) -> int | float:
+    """An option's value as an int when the text is one, else as a float, so
+    that SimConfig rather than the parser rejects a non-integer count."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctosim",
@@ -24,13 +33,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sr", type=float, default=15.0, help="sensor range")
     sim.add_argument("--rv", type=float, default=0.5, help="target speed per step")
     sim.add_argument("--ur", type=float, default=0.25, help="controller update rate in (0, 1]")
-    sim.add_argument("--steps", type=int, default=1500, help="simulation length in steps")
-    sim.add_argument("--observers", type=int, default=12, help="number of observers")
-    sim.add_argument("--targets", type=int, default=24, help="number of targets")
-    sim.add_argument("--vertices", type=int, default=40, help="graph vertex count")
-    sim.add_argument("--horizon", type=int, default=10,
+    sim.add_argument("--steps", type=_number, default=1500, help="simulation length in steps")
+    sim.add_argument("--observers", type=_number, default=12, help="number of observers")
+    sim.add_argument("--targets", type=_number, default=24, help="number of targets")
+    sim.add_argument("--vertices", type=_number, default=40, help="graph vertex count")
+    sim.add_argument("--horizon", type=_number, default=10,
                      help="prediction horizon in steps (hc-hp only)")
-    sim.add_argument("--seed", type=int, default=0, help="base random seed")
+    sim.add_argument("--seed", type=_number, default=0, help="base random seed")
 
     sweep = sub.add_parser("sweep", help="run a one-parameter sweep and write CSVs")
     sweep.add_argument("--vary", choices=["sr", "rv", "ur"], required=True,

@@ -16,6 +16,7 @@ Four strategies choose where the observers should head next:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -62,7 +63,7 @@ class ControlInput:
             raise ValueError("one destination per observer is required")
         if len(self.observer_points) == 0:
             raise ValueError("at least one observer is required")
-        if self.sr <= 0.0:
+        if not self.sr > 0.0:
             raise ValueError(f"sensor range must be positive, got {self.sr}")
 
 
@@ -70,11 +71,68 @@ def _rows_to_points(rows: np.ndarray) -> list[Point]:
     return [Point(float(x), float(y)) for x, y in rows]
 
 
+def _covered_counts(
+    candidates: np.ndarray,
+    base: np.ndarray,
+    targets: np.ndarray,
+    sr: float,
+    mag: float,
+    arena: np.ndarray,
+) -> np.ndarray:
+    """Targets covered by each candidate set, equal to
+    ``observation_matrix(candidates, targets, sr).any(axis=-2).sum(axis=-1)``
+    but scored only over the (observer, target) pairs that can count.
+
+    ``candidates`` must be ``clip(base + offsets, 0, arena)`` with every
+    offset coordinate in [-mag, mag]. Clipping into a box never moves two
+    points apart along an axis, so candidate observer k lies within mag·√2
+    of ``clip(base_k)``, and a target farther than sr + mag·√2 from that
+    centre is out of every candidate's sight. For a base inside the arena
+    the centre is the base; for one outside, it is the nearest arena point
+    (a reach around the base itself would have to be widened by the base's
+    distance outside, since clipping can move a candidate that far). Each
+    kept pair is tested with the kernel's own arithmetic, so every count
+    equals the kernel's bit for bit.
+    """
+    # Slack on the reach, from a worst-case rounding bound (u = 2**-53,
+    # A = W + H, R = sr + mag·√2). A candidate's computed test passing
+    # gives |c - t| <= sr(1 + 3u) + 2**-536 (each squared difference and the
+    # sum round once; the last term covers subnormal squares). Rounding
+    # base + offset moves a coordinate at most u·A farther, so
+    # |c - centre| <= √2·mag + 1.5u·A. The computed pruning test keeps the
+    # pair when |centre - t| <= reach(1 - 3u) - 2**-536, and computing
+    # mag·√2 and the reach costs 4u·R. Together the reach needs
+    # 10u·R + 1.5u·A + 2**-534 above R; 2**-48·(R + A) + 2**-500 is more.
+    reach = sr + mag * math.sqrt(2.0)
+    reach += 2.0**-48 * (reach + float(arena[0]) + float(arena[1])) + 2.0**-500
+    centres = np.clip(base, 0.0, arena)
+    dx = centres[:, 0, None] - targets[:, 0]
+    dy = centres[:, 1, None] - targets[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    # (target, observer) pairs in target order, so each target's pairs are
+    # one run of columns below
+    pair_target, pair_observer = np.nonzero(dx.T <= reach * reach)
+    starts = np.flatnonzero(np.diff(pair_target, prepend=-1))
+    dx = candidates[:, pair_observer, 0]
+    dx -= targets[pair_target, 0]
+    dx *= dx
+    dy = candidates[:, pair_observer, 1]
+    dy -= targets[pair_target, 1]
+    dy *= dy
+    dx += dy
+    seen = dx <= sr * sr
+    return np.logical_or.reduceat(seen, starts, axis=1).sum(axis=1)
+
+
 def _hc_family(
     inp: ControlInput, n_candidates: int, mag: float, use_dispersion: bool
 ) -> list[Point]:
     if n_candidates < 1:
         raise ValueError(f"need at least 1 candidate, got {n_candidates}")
+    if not 0.0 <= 2.0 * mag < math.inf:  # the draw spans 2·mag
+        raise ValueError(f"perturbation magnitude mag must be >= 0 with 2·mag finite, got {mag}")
     base = np.asarray(inp.current_destinations, dtype=float)
     targets = np.asarray(inp.target_eval_points, dtype=float).reshape(
         len(inp.target_eval_points), 2
@@ -85,7 +143,7 @@ def _hc_family(
     candidates = np.clip(base + offsets, 0.0, arena)
 
     current_count = int(observation_matrix(base, targets, inp.sr).any(axis=0).sum())
-    counts = observation_matrix(candidates, targets, inp.sr).any(axis=-2).sum(axis=-1)
+    counts = _covered_counts(candidates, base, targets, inp.sr, mag, arena)
     best = int(np.argmax(counts))
     if int(counts[best]) > current_count:
         return _rows_to_points(candidates[best])

@@ -38,6 +38,11 @@ from .world import (
     target_point,
 )
 
+# Observers and targets per run: sensing and candidate scoring work over
+# every (observer, target) pair each step, a million pairs at this cap.
+MAX_AGENTS = 1000
+
+
 class SeedStreams(NamedTuple):
     """The four independent random streams derived from one run seed."""
 
@@ -97,10 +102,10 @@ class SimConfig:
             raise ValueError(f"arena must have positive dimensions, got {self.width} x {self.height}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.n_observers < 1:
-            raise ValueError(f"need at least 1 observer, got {self.n_observers}")
-        if self.n_targets < 1:
-            raise ValueError(f"need at least 1 target, got {self.n_targets}")
+        if not 1 <= self.n_observers <= MAX_AGENTS:
+            raise ValueError(f"need 1 to {MAX_AGENTS} observers, got {self.n_observers}")
+        if not 1 <= self.n_targets <= MAX_AGENTS:
+            raise ValueError(f"need 1 to {MAX_AGENTS} targets, got {self.n_targets}")
         if not 3 <= self.n_vertices <= MAX_VERTICES:
             raise ValueError(f"need 3 to {MAX_VERTICES} graph vertices, got {self.n_vertices}")
         if self.sr <= 0.0:

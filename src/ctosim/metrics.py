@@ -26,7 +26,7 @@ def observation_matrix(
     targets of each observer set. The sensing disc is closed: a target
     exactly at distance sr is observed.
     """
-    if sr <= 0.0:
+    if not sr > 0.0:
         raise ValueError(f"sensor range must be positive, got {sr}")
     obs = np.asarray(observer_points, dtype=float)
     if obs.ndim < 2:

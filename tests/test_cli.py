@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ctosim.cli as cli
 import ctosim.harness as harness
@@ -82,6 +84,67 @@ class TestSimulate:
     def test_unknown_algorithm_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--algorithm", "dqn"])
+
+
+def _text(values):
+    return values.map(str)
+
+
+def _numbers(integers):
+    """Any number as text: the given integers, and finite, non-finite,
+    negative, huge and non-integer floats."""
+    return st.one_of(
+        _text(integers),
+        _text(st.floats(allow_nan=True, allow_infinity=True)),
+        st.sampled_from(["0", "-1", "2.5", "1e3", "1e300", "1e400", "nan", "inf", "-inf"]),
+    )
+
+
+# Each simulate option with values it accepts. Accepted counts stay small
+# (at most 5 steps and 20 observers or targets), so that every run is
+# short. Wild values add the integers outside 1..1000 (outside 1..5 for
+# steps), and every float.
+SIMULATE_OPTIONS = {
+    "steps": _text(st.integers(1, 5)),
+    "observers": _text(st.integers(1, 20)),
+    "targets": _text(st.integers(1, 20)),
+    "vertices": _text(st.integers(3, 40)),
+    "horizon": _text(st.integers(0, 10**30)),
+    "seed": _text(st.integers(0, 2**128)),
+    "sr": _text(st.floats(1e-3, 1e300)),
+    "rv": _text(st.floats(1e-3, 200.0)),
+    "ur": _text(st.floats(1e-3, 1.0)),
+}
+WILD = _numbers(st.integers(max_value=0) | st.integers(min_value=1001))
+WILD_STEPS = _numbers(st.integers(max_value=0))
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_simulate_exits_cleanly_on_any_numeric_arguments(data, capsys):
+    # Up to two options take any number, finite or not, negative, huge or
+    # non-integer; the rest take accepted values. Steps are always set and
+    # never above 5, so an accepted draw runs in this process in moments.
+    wild = data.draw(st.sets(st.sampled_from(sorted(SIMULATE_OPTIONS)), max_size=2), "wild")
+    algorithm = data.draw(st.sampled_from(["kmeans", "hc", "hc-h", "hc-hp"]))
+    args = ["simulate", f"--algorithm={algorithm}"]
+    for name, accepted in SIMULATE_OPTIONS.items():
+        if name in wild:
+            args.append(f"--{name}={data.draw(WILD_STEPS if name == 'steps' else WILD, name)}")
+        elif name == "steps" or data.draw(st.booleans()):
+            args.append(f"--{name}={data.draw(accepted, name)}")
+    code, out, err = run_main(args, capsys)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        assert re.fullmatch(r"rho=\d\.\d{6} seed=\d+ wall_time_s=\d+\.\d{3}\n", out)
+    else:
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestSweep:

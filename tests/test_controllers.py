@@ -12,10 +12,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctosim.controllers import (
     ControlInput,
     ControllerKind,
+    _covered_counts,
     hc_control,
     hc_h_control,
     hc_hp_control,
@@ -120,6 +123,12 @@ class TestControlInputValidation:
         with pytest.raises(ValueError, match="sensor range"):
             _mk_input([(0, 0)], [(5, 5)], 0.0, 0)
 
+    def test_nan_sensor_range_rejected(self):
+        # nan passes `sr <= 0`; the climbers then kept every destination
+        # because no target ever counted
+        with pytest.raises(ValueError, match="sensor range"):
+            _mk_input([(0, 0)], [(5, 5)], math.nan, 0)
+
 
 def test_controller_kind_parse():
     assert ControllerKind.parse("kmeans") is ControllerKind.KMEANS
@@ -176,6 +185,98 @@ class TestPerturb:
         hc_control(inp, 20)
         assert base == [Point(10.0, 10.0)]
         assert inp.current_destinations == (Point(10.0, 10.0),)
+
+
+def _dense_counts(candidates, targets, sr):
+    return observation_matrix(candidates, targets, sr).any(axis=-2).sum(axis=-1)
+
+
+class TestCoveredCounts:
+    """The climbers' pruned scoring kernel against the dense one: the counts
+    must be equal, not close, since the argmax and adoption follow them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equals_the_dense_kernel(self, data):
+        width = data.draw(st.sampled_from([150.0, 1.0]) | st.floats(0.5, 400.0), "width")
+        height = data.draw(st.sampled_from([150.0, 3.0]) | st.floats(0.5, 400.0), "height")
+        arena = np.array([width, height])
+        diagonal = math.hypot(width, height)
+        mag = data.draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 60.0), "mag")
+        sr = data.draw(
+            st.sampled_from([diagonal, 2.0 * diagonal]) | st.floats(0.01, 1.2 * diagonal), "sr"
+        )
+
+        def coordinate(limit):
+            # the arena's edges (so corners too), inside it, and outside it
+            return st.sampled_from([0.0, limit]) | st.floats(0.0, limit) | st.floats(-limit, 2.0 * limit)
+
+        n = data.draw(st.integers(1, 5), "n")
+        base = np.array(
+            [[data.draw(coordinate(width)), data.draw(coordinate(height))] for _ in range(n)]
+        )
+        c = data.draw(st.integers(1, 6), "c")
+        unit = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+        offsets = mag * np.array(data.draw(st.lists(unit, min_size=2 * c * n, max_size=2 * c * n)))
+        offsets = offsets.reshape(c, n, 2)
+        centres = np.clip(base, 0.0, arena)
+        signs = st.sampled_from([-1.0, 1.0])
+        targets = []
+        for _ in range(data.draw(st.integers(0, 2), "on the reach")):
+            # on a diagonal through a centre, sr beyond a candidate pushed to
+            # that corner of its offset square: the widest reach that counts
+            i, k = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, n - 1))
+            corner = np.array([data.draw(signs), data.draw(signs)])
+            offsets[i, k] = mag * corner
+            targets.append(centres[k] + (mag + sr / math.sqrt(2.0)) * corner)
+        candidates = np.clip(base + offsets, 0.0, arena)
+
+        far = -10.0 * (sr + 2.0 * mag + diagonal)
+        for _ in range(data.draw(st.integers(0, 5), "m")):
+            kind = data.draw(st.sampled_from(["free", "sr", "far"]))
+            if kind == "free":
+                targets.append([data.draw(coordinate(width)), data.draw(coordinate(height))])
+            elif kind == "sr":
+                # exactly sr from a (possibly clipped) candidate observer
+                i, k = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, n - 1))
+                t = candidates[i, k].copy()
+                t[data.draw(st.integers(0, 1))] += data.draw(signs) * sr
+                targets.append(t)
+            else:
+                targets.append([far, far])
+        targets = np.array(targets, dtype=float).reshape(len(targets), 2)
+
+        got = _covered_counts(candidates, base, targets, sr, mag, arena)
+        assert np.array_equal(got, _dense_counts(candidates, targets, sr))
+
+    def test_target_on_the_reach_boundary_is_kept(self):
+        # the candidate at offset (-mag, -mag) sees the target at exactly sr
+        # as rounded, while the centre's rounded distance exceeds the rounded
+        # sr + mag·√2: the reach needs its rounding slack
+        base = np.array([[62.42, 22.18]])
+        candidates = base - 1.6
+        targets = base - (1.6 + 7.3 / math.sqrt(2.0))
+        assert _dense_counts(candidates[None], targets, 7.3).tolist() == [1]
+        got = _covered_counts(candidates[None], base, targets, 7.3, 1.6, np.array(ARENA))
+        assert got.tolist() == [1]
+
+    def test_destination_outside_the_arena_is_scored_exactly(self):
+        # clipping (-30 + offset, y) to x = 0 moves the observer about 30
+        # units, far more than mag: a reach of sr + mag·√2 around the raw
+        # destination misses the target, and the climber would keep (-30, 75)
+        dests, targets = [(-30.0, 75.0)], [(2.0, 75.0)]
+        out = hc_control(_mk_input(dests, targets, 3.0, seed=0), 50, mag=5.0)
+        want = _expected_hc(dests, targets, 3.0, 0, 50, 5.0, use_dispersion=False)
+        assert _as_rows(out) == want
+        assert out[0].x == 0.0 and out[0] != Point(-30.0, 75.0)
+
+    @pytest.mark.parametrize("mag", [-1.0, math.nan, math.inf, -math.inf, 1e308])
+    def test_bad_magnitude_rejected_before_any_draw(self, mag):
+        inp = _mk_input([(10.0, 10.0)], [(12.0, 10.0)], 5.0, seed=0)
+        for control in (hc_control, hc_h_control):
+            with pytest.raises(ValueError, match="mag"):
+                control(inp, 10, mag=mag)
+        assert inp.rng.random() == np.random.default_rng(0).random()
 
 
 class TestHillClimb:

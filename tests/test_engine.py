@@ -64,6 +64,8 @@ class TestSimConfigValidation:
             dict(seed=-1),
             dict(rv=1e12),
             dict(n_vertices=101),
+            dict(n_observers=1001),
+            dict(n_targets=1001),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -45,6 +45,11 @@ class TestObservationMatrix:
         with pytest.raises(ValueError):
             observation_matrix([Point(0.0, 0.0)], [Point(1.0, 0.0)], sr=0.0)
 
+    def test_nan_sensor_range_rejected(self):
+        # nan passes `sr <= 0`, and then every comparison reads "not seen"
+        with pytest.raises(ValueError, match="sensor range"):
+            observation_matrix([Point(0.0, 0.0)], [Point(1.0, 0.0)], sr=math.nan)
+
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
