@@ -13,7 +13,8 @@ from .harness import SweepSpec, emit_csv, emit_plot_script, run_sweep
 
 def _number(text: str) -> int | float:
     """An option's value as an int when the text is one, else as a float, so
-    that SimConfig rather than the parser rejects a non-integer count."""
+    that SimConfig, SweepSpec or run_sweep rather than the parser rejects a
+    non-integer count."""
     try:
         return int(text)
     except ValueError:
@@ -44,10 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a one-parameter sweep and write CSVs")
     sweep.add_argument("--vary", choices=["sr", "rv", "ur"], required=True,
                        help="parameter swept over its standard values")
-    sweep.add_argument("--runs", type=int, default=20, help="runs per cell")
-    sweep.add_argument("--base-seed", type=int, default=0,
+    sweep.add_argument("--runs", type=_number, default=20, help="runs per cell")
+    sweep.add_argument("--base-seed", type=_number, default=0,
                        help="seed of the first run in every cell")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep.add_argument("--jobs", type=_number, default=1, help="worker processes")
     sweep.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
 
     plot = sub.add_parser("plot", help="write a chart script for a sweep summary CSV")

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Point
-from .metrics import mean_pairwise_observer_distance, observation_matrix
+from .metrics import mean_pairwise_observer_distance, points_array
 from .world import PlanarGraph, TargetState, predict_target
 
 DEFAULT_PERTURB_MAG = 10.0
@@ -68,7 +68,17 @@ class ControlInput:
 
 
 def _rows_to_points(rows: np.ndarray) -> list[Point]:
-    return [Point(float(x), float(y)) for x, y in rows]
+    return [Point(x, y) for x, y in rows.tolist()]
+
+
+def _squared_distances(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(N, M) squared distances, with ``observation_matrix``'s arithmetic."""
+    dx = points[:, 0, None] - targets[:, 0]
+    dy = points[:, 1, None] - targets[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def _covered_counts(
@@ -106,24 +116,22 @@ def _covered_counts(
     reach = sr + mag * math.sqrt(2.0)
     reach += 2.0**-48 * (reach + float(arena[0]) + float(arena[1])) + 2.0**-500
     centres = np.clip(base, 0.0, arena)
-    dx = centres[:, 0, None] - targets[:, 0]
-    dy = centres[:, 1, None] - targets[:, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
     # (target, observer) pairs in target order, so each target's pairs are
-    # one run of columns below
-    pair_target, pair_observer = np.nonzero(dx.T <= reach * reach)
-    starts = np.flatnonzero(np.diff(pair_target, prepend=-1))
-    dx = candidates[:, pair_observer, 0]
-    dx -= targets[pair_target, 0]
+    # one run of rows below; a run starts where the target changes
+    pair_target, pair_observer = np.nonzero(_squared_distances(centres, targets).T <= reach * reach)
+    starts = np.ones(len(pair_target), dtype=bool)
+    np.not_equal(pair_target[1:], pair_target[:-1], out=starts[1:])
+    # pairs-major (P, C): each pair's candidates are one contiguous row
+    by_observer = np.ascontiguousarray(candidates.transpose(1, 2, 0))
+    dx = by_observer[pair_observer, 0]
+    dx -= targets[pair_target, 0, None]
     dx *= dx
-    dy = candidates[:, pair_observer, 1]
-    dy -= targets[pair_target, 1]
+    dy = by_observer[pair_observer, 1]
+    dy -= targets[pair_target, 1, None]
     dy *= dy
     dx += dy
     seen = dx <= sr * sr
-    return np.logical_or.reduceat(seen, starts, axis=1).sum(axis=1)
+    return np.logical_or.reduceat(seen, np.flatnonzero(starts), axis=0).sum(axis=0)
 
 
 def _hc_family(
@@ -133,35 +141,38 @@ def _hc_family(
         raise ValueError(f"need at least 1 candidate, got {n_candidates}")
     if not 0.0 <= 2.0 * mag < math.inf:  # the draw spans 2·mag
         raise ValueError(f"perturbation magnitude mag must be >= 0 with 2·mag finite, got {mag}")
-    base = np.asarray(inp.current_destinations, dtype=float)
-    targets = np.asarray(inp.target_eval_points, dtype=float).reshape(
-        len(inp.target_eval_points), 2
-    )
+    base = points_array(inp.current_destinations)
+    targets = points_array(inp.target_eval_points)
     arena = np.asarray(inp.arena, dtype=float)
 
-    offsets = inp.rng.uniform(-mag, mag, size=(n_candidates,) + base.shape)
-    candidates = np.clip(base + offsets, 0.0, arena)
+    # clip(base + offsets, 0, arena), in the offsets' buffer
+    candidates = inp.rng.uniform(-mag, mag, size=(n_candidates,) + base.shape)
+    candidates += base
+    np.maximum(candidates, 0.0, out=candidates)
+    np.minimum(candidates, arena, out=candidates)
 
-    current_count = int(observation_matrix(base, targets, inp.sr).any(axis=0).sum())
+    current_count = int((_squared_distances(base, targets) <= inp.sr * inp.sr).any(axis=0).sum())
     counts = _covered_counts(candidates, base, targets, inp.sr, mag, arena)
     best = int(np.argmax(counts))
     if int(counts[best]) > current_count:
         return _rows_to_points(candidates[best])
 
-    if not use_dispersion or len(inp.current_destinations) < 2:
+    if not use_dispersion or len(base) < 2:
         return list(inp.current_destinations)
 
-    tied = counts == current_count
-    if not bool(tied.any()):
+    tied = np.flatnonzero(counts == current_count)
+    if len(tied) == 0:
         return list(inp.current_destinations)
-    spreads = np.where(tied, mean_pairwise_observer_distance(candidates), -np.inf)
-    pick = _rows_to_points(candidates[int(np.argmax(spreads))])
+    pick = int(tied[0])
+    if len(tied) > 1:
+        # Spread is scored over the tied sets only. A batch of two or more
+        # sets gives each set's mean bit for bit as a batch of all the
+        # candidates would, so the first greatest is the same set.
+        pick = int(tied[np.argmax(mean_pairwise_observer_distance(candidates[tied]))])
     # Settle the adoption with two single-set calls so the guarantee is exact:
     # a batched mean may differ from a single-set one in the last bit.
-    if mean_pairwise_observer_distance(pick) > mean_pairwise_observer_distance(
-        inp.current_destinations
-    ):
-        return pick
+    if mean_pairwise_observer_distance(candidates[pick]) > mean_pairwise_observer_distance(base):
+        return _rows_to_points(candidates[pick])
     return list(inp.current_destinations)
 
 
@@ -213,8 +224,8 @@ def kmeans_control(inp: ControlInput) -> list[Point]:
     """
     if len(inp.target_eval_points) == 0:
         raise ValueError("k-means needs at least one target position")
-    pts = np.asarray(inp.target_eval_points, dtype=float)
-    centroids = np.asarray(inp.observer_points, dtype=float).copy()
+    pts = points_array(inp.target_eval_points)
+    centroids = points_array(inp.observer_points)
     for _ in range(KMEANS_MAX_ITERS):
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)

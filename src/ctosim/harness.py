@@ -10,6 +10,7 @@ per-seed comparisons between controllers are paired.
 from __future__ import annotations
 
 import csv
+import numbers
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -24,6 +25,11 @@ RV_VALUES = (0.1, 0.25, 0.5, 0.75, 0.9)
 UR_VALUES = (1.0, 0.5, 0.25, 0.1, 0.05)
 
 _VALUE_SETS = {"sr": SR_VALUES, "rv": RV_VALUES, "ur": UR_VALUES}
+
+# Worker processes per sweep. The pool starts all of its workers at the
+# first submit, each a full interpreter with numpy loaded, so an unchecked
+# jobs value would start that many processes at once.
+MAX_JOBS = 64
 
 ALL_CONTROLLERS = (
     ControllerKind.KMEANS,
@@ -67,6 +73,10 @@ class SweepSpec:
                 )
         if not self.controllers:
             raise ValueError("at least one controller is required")
+        for name in ("runs_per_cell", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.runs_per_cell < 1:
             raise ValueError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
         if self.base_seed < 0:
@@ -112,16 +122,22 @@ def _cell_configs(spec: SweepSpec, controller: ControllerKind, value: float) -> 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Execute every cell of a sweep and summarize it.
 
-    With jobs > 1 runs are distributed over worker processes; results are
-    merged back in seed order, so the output is identical either way. Raises
-    ValueError for jobs < 1.
+    With jobs > 1 runs are distributed over worker processes, never more
+    than there are runs; results are merged back in seed order, so the
+    output is identical either way. Raises ValueError unless jobs is an
+    integer from 1 to MAX_JOBS.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
     cells = [(ctrl, value) for ctrl in spec.controllers for value in spec.values]
     configs = [cfg for ctrl, value in cells for cfg in _cell_configs(spec, ctrl, value)]
+    workers = min(jobs, len(configs))
 
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         outcomes = (pool.map if pool else map)(run_simulation, configs)
         results = []
         for cfg in configs:

@@ -192,6 +192,31 @@ class TestSweep:
         assert err == "error: jobs must be >= 1, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--runs", "2.5", "runs_per_cell must be an integer, got 2.5"),
+            ("--runs", "nan", "runs_per_cell must be an integer, got nan"),
+            ("--runs", "0", "runs_per_cell must be >= 1, got 0"),
+            ("--base-seed", "2.5", "base_seed must be an integer, got 2.5"),
+            ("--base-seed", "1e400", "base_seed must be an integer, got inf"),
+            ("--base-seed", "-1", "base_seed must be >= 0, got -1"),
+            ("--jobs", "2.5", "jobs must be an integer, got 2.5"),
+            ("--jobs", "inf", "jobs must be an integer, got inf"),
+            ("--jobs", "100000", f"jobs must be at most {harness.MAX_JOBS}, got 100000"),
+        ],
+    )
+    def test_bad_count_is_one_error_line(self, tmp_path, capsys, monkeypatch, option, value, message):
+        # no run and no worker pool may start: every value here is rejected
+        # while the sweep is being set up
+        monkeypatch.setattr(harness, "run_simulation", lambda cfg: pytest.fail("a run started"))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+        code, out, err = run_main(["sweep", "--vary", "sr", option, value, "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_vary_is_required(self):
         with pytest.raises(SystemExit):
             cli.main(["sweep"])

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from ctosim.controllers import (
@@ -76,12 +76,17 @@ def _first_argmax(values) -> int:
     return best
 
 
-def _expected_hc(dests, targets, sr, seed, n_candidates, mag, use_dispersion):
-    """Re-derive the hill-climb outcome with loops and a cloned generator."""
+def _replay_candidates(dests, seed, n_candidates, mag):
+    """The climber's candidate draw, replayed on a cloned generator."""
     rng = np.random.default_rng(seed)
     base = np.asarray(dests, dtype=float)
     offsets = rng.uniform(-mag, mag, size=(n_candidates,) + base.shape)
-    cands = np.clip(base + offsets, 0.0, np.asarray(ARENA))
+    return np.clip(base + offsets, 0.0, np.asarray(ARENA))
+
+
+def _expected_hc(dests, targets, sr, seed, n_candidates, mag, use_dispersion):
+    """Re-derive the hill-climb outcome with loops and a cloned generator."""
+    cands = _replay_candidates(dests, seed, n_candidates, mag)
     cur = observed_count_loops(dests, targets, sr)
     counts = [observed_count_loops(c.tolist(), targets, sr) for c in cands]
     best = _first_argmax(counts)
@@ -322,6 +327,46 @@ class TestHillClimbWithDispersion:
         out = hc_h_control(_mk_input(dests, targets, sr, seed=seed), 60)
         want = _expected_hc(dests, targets, sr, seed, 60, 10.0, use_dispersion=True)
         assert np.allclose(_as_rows(out), want, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_choice_equals_the_loop_oracle(self, data):
+        # The spread tie-break scores only the candidates whose coverage ties
+        # the incumbent's, and skips the batch when exactly one ties. Targets
+        # are placed against the replayed draw so that every candidate ties,
+        # exactly one does, none does, or (free) whatever a random draw gives.
+        ties = data.draw(st.sampled_from(["every", "one", "none", "free"]), "ties")
+        n = data.draw(st.integers(2, 5), "observers")
+        n_candidates = data.draw(st.integers(1, 30), "candidates")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        coordinate = st.floats(0.0, 150.0)
+        dests = [(data.draw(coordinate), data.draw(coordinate)) for _ in range(n)]
+        cands = _replay_candidates(dests, seed, n_candidates, 10.0)
+        sr = 1e-3
+        if ties == "every":
+            # out of everyone's reach: every count is 0, the incumbent's too
+            targets = [(-200.0, -200.0), (400.0, 75.0)]
+        elif ties == "none":
+            # the incumbent sees a target that no candidate keeps in sight
+            targets = [dests[0]]
+        elif ties == "one":
+            # ... and one candidate sees another target instead
+            i = data.draw(st.integers(0, n_candidates - 1), "tied candidate")
+            targets = [dests[0], tuple(cands[i, n - 1])]
+        else:
+            sr = data.draw(st.floats(0.5, 60.0), "sr")
+            m = data.draw(st.integers(1, 8), "targets")
+            targets = [(data.draw(coordinate), data.draw(coordinate)) for _ in range(m)]
+        current = observed_count_loops(dests, targets, sr)
+        counts = [observed_count_loops(c.tolist(), targets, sr) for c in cands]
+        n_tied = counts.count(current)
+        if ties != "free":
+            assume(max(counts) <= current)
+            assume(n_tied == {"every": n_candidates, "one": 1, "none": 0}[ties])
+        event(f"{n_tied if n_tied < 2 else 'several'} tied, improved: {max(counts) > current}")
+
+        out = hc_h_control(_mk_input(dests, targets, sr, seed), n_candidates, mag=10.0)
+        assert _as_rows(out) == _expected_hc(dests, targets, sr, seed, n_candidates, 10.0, True)
 
     def test_spreads_out_when_coverage_is_stuck(self):
         # all candidates tie at zero coverage; the tie-break should adopt a

@@ -212,3 +212,24 @@ def test_rho_is_bitwise_pinned(kind):
         run_simulation(SimConfig(controller=kind, steps=300, seed=s)).rho.hex() for s in range(4)
     )
     assert got == GOLDEN_RHO[kind.value]
+
+
+# rho.hex() for the hill climbers updating on every step (ur=1.0), seeds 0-3
+# at steps=300, other settings default. Every call scores candidates there,
+# so these pin the climbers' per-call path, the spread tie-break included,
+# where GOLDEN_RHO's ur=0.25 calls it on a quarter of the steps.
+GOLDEN_RHO_EVERY_STEP = {
+    "hc": ("0x1.5e6f8091a2b3cp-1", "0x1.5e81b4e81b4e8p-1", "0x1.7cccccccccccdp-1", "0x1.77654320fedccp-1"),
+    "hc-h": ("0x1.7468acf13579cp-1", "0x1.6c16c16c16c17p-1", "0x1.6f37c048d159fp-1", "0x1.4a8641fdb9753p-1"),
+    "hc-hp": ("0x1.8e4b17e4b17e5p-1", "0x1.8b851eb851eb8p-1", "0x1.8bf258bf258bfp-1", "0x1.6db97530eca87p-1"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_RHO_EVERY_STEP))
+def test_rho_is_bitwise_pinned_when_updating_every_step(label):
+    kind = ControllerKind.parse(label)
+    got = tuple(
+        run_simulation(SimConfig(controller=kind, ur=1.0, steps=300, seed=s)).rho.hex()
+        for s in range(4)
+    )
+    assert got == GOLDEN_RHO_EVERY_STEP[label]

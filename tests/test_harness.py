@@ -82,6 +82,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="base_seed"):
             SweepSpec(varied="sr", base_seed=-1)
 
+    @pytest.mark.parametrize("name", ["runs_per_cell", "base_seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, float("inf"), "2"])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SweepSpec(varied="sr", **{name: value})
+
 
 @pytest.fixture(scope="module")
 def two_controller_result():
@@ -170,6 +176,43 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "run_simulation", boom)
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             run_sweep(small_spec(), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [True, 2.0, 2.5, float("nan"), "2"])
+    def test_rejects_non_integer_jobs(self, monkeypatch, jobs):
+        monkeypatch.setattr(harness, "run_simulation", boom)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            run_sweep(small_spec(), jobs=jobs)
+
+    def test_rejects_jobs_above_the_cap(self, monkeypatch):
+        # the pool would start every worker at its first submit, so the cap
+        # is checked before a pool exists; the stub makes sure none does
+        monkeypatch.setattr(harness, "run_simulation", boom)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+        with pytest.raises(ValueError, match=f"jobs must be at most {harness.MAX_JOBS}"):
+            run_sweep(small_spec(), jobs=harness.MAX_JOBS + 1)
+
+    def test_workers_never_outnumber_runs(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        assert len(run_sweep(small_spec(runs_per_cell=1), jobs=harness.MAX_JOBS).records) == 2
+        assert started == [2]
+        # a single run needs no pool at all
+        run_sweep(small_spec(values=(5.0,), runs_per_cell=1), jobs=harness.MAX_JOBS)
+        assert started == [2]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failures_name_the_cell(self, monkeypatch, jobs):

@@ -14,6 +14,7 @@ from ctosim.metrics import (
     finalize_rho,
     mean_pairwise_observer_distance,
     observation_matrix,
+    points_array,
 )
 from oracles import observed_count_loops
 
@@ -67,6 +68,54 @@ class TestObservationMatrix:
             assert counts.tolist() == [
                 observed_count_loops(c.tolist(), tgt.tolist(), sr) for c in batch
             ]
+
+
+class TestPointsArray:
+    """The one conversion of point sequences: cheaper than np.asarray, and
+    as strict about the shape of each point."""
+
+    ROWS = np.random.default_rng(9).uniform(0.0, 150.0, size=(7, 2))
+
+    @pytest.mark.parametrize(
+        "convert",
+        [_pts, lambda r: [tuple(p) for p in r.tolist()], lambda r: r.tolist(), np.array, list],
+        ids=["Point", "tuple", "list", "ndarray", "ndarray rows"],
+    )
+    def test_every_form_gives_the_same_matrix(self, convert):
+        targets = np.random.default_rng(10).uniform(0.0, 150.0, size=(5, 2))
+        want = observation_matrix(self.ROWS, targets, 40.0)
+        got = observation_matrix(convert(self.ROWS), convert(targets), 40.0)
+        assert got.dtype == bool and np.array_equal(got, want)
+        arr = points_array(convert(self.ROWS))
+        assert arr.shape == (7, 2) and arr.dtype == float
+        assert np.array_equal(arr, self.ROWS)
+
+    def test_integer_coordinates_become_floats(self):
+        arr = points_array([(1, 2), (3, 4)])
+        assert arr.dtype == float and arr.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_no_points_is_an_empty_matrix(self):
+        assert points_array([]).shape == (0, 2)
+        assert observation_matrix([], [Point(1.0, 1.0)], 5.0).shape == (0, 1)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)],  # three coordinates each
+            [(1.0, 2.0, 3.0), (4.0,)],  # ragged, with two coordinates a row on average
+            [(1.0, 2.0), (3.0,)],
+            np.zeros((3, 3)),
+            np.zeros(4),
+        ],
+        ids=["three coordinates", "ragged", "short row", "3-column array", "flat array"],
+    )
+    def test_malformed_points_are_rejected(self, rows):
+        with pytest.raises(ValueError):
+            points_array(rows)
+        with pytest.raises(ValueError):
+            observation_matrix(rows, [Point(1.0, 1.0)], 5.0)
+        with pytest.raises(ValueError):
+            observation_matrix([Point(1.0, 1.0)], rows, 5.0)
 
 
 class TestCoverageFraction:
