@@ -147,9 +147,9 @@ def update_period(ur: float) -> int:
 def _next_destinations(
     cfg: SimConfig,
     graph: PlanarGraph,
-    targets: tuple[TargetState, ...],
+    targets: list[TargetState],
     target_pts: tuple[Point, ...],
-    observers: tuple[ObserverState, ...],
+    observers: list[ObserverState],
     rng: np.random.Generator,
 ) -> list[Point]:
     inp = ControlInput(
@@ -186,20 +186,15 @@ def run_simulation(
 
     streams = derive_streams(cfg.seed)
     graph = generate_random_graph(cfg.n_vertices, cfg.width, cfg.height, streams.graph)
-    targets = tuple(
-        random_target_state(graph, cfg.rv, streams.targets)
-        for _ in range(cfg.n_targets)
-    )
+    targets = [random_target_state(graph, cfg.rv, streams.targets) for _ in range(cfg.n_targets)]
     coords = streams.observers.uniform(
         0.0, np.asarray([cfg.width, cfg.height]), size=(cfg.n_observers, 2)
     )
-    observers = tuple(
-        ObserverState(Point(float(x), float(y)), Point(float(x), float(y)))
-        for x, y in coords
-    )
+    observers = [ObserverState(Point(float(x), float(y)), Point(float(x), float(y))) for x, y in coords]
 
-    target_pts = tuple(target_point(graph, s) for s in targets)
+    target_pts = tuple([target_point(graph, s) for s in targets])
     period = update_period(cfg.ur)
+    target_rng = streams.targets
     observed_sum = 0
     counts: list[int] = []
     trace: list[tuple[Point, ...]] = []
@@ -208,15 +203,12 @@ def run_simulation(
             destinations = _next_destinations(
                 cfg, graph, targets, target_pts, observers, streams.controller
             )
-            observers = tuple(
-                ObserverState(o.position, d) for o, d in zip(observers, destinations)
-            )
-        targets = tuple(step_target(graph, s, streams.targets) for s in targets)
-        observers = tuple(step_observer(o) for o in observers)
-        target_pts = tuple(target_point(graph, s) for s in targets)
-        observed = int(
-            observation_matrix([o.position for o in observers], target_pts, cfg.sr).any(axis=0).sum()
-        )
+            observers = [ObserverState(o.position, d) for o, d in zip(observers, destinations)]
+        targets = [step_target(graph, s, target_rng) for s in targets]
+        observers = [step_observer(o) for o in observers]
+        target_pts = tuple([target_point(graph, s) for s in targets])
+        seen = observation_matrix([o.position for o in observers], target_pts, cfg.sr).any(axis=0)
+        observed = int(np.count_nonzero(seen))
         observed_sum += observed
         if record_counts:
             counts.append(observed)

@@ -31,6 +31,11 @@ _VALUE_SETS = {"sr": SR_VALUES, "rv": RV_VALUES, "ur": UR_VALUES}
 # jobs value would start that many processes at once.
 MAX_JOBS = 64
 
+# Runs per sweep cell. run_sweep builds every run's SimConfig (about 230
+# bytes) before the first run starts, so an unchecked count would fill
+# memory before doing any work; at this cap a full sweep holds 200 000.
+MAX_RUNS_PER_CELL = 10_000
+
 ALL_CONTROLLERS = (
     ControllerKind.KMEANS,
     ControllerKind.HC,
@@ -79,6 +84,10 @@ class SweepSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.runs_per_cell < 1:
             raise ValueError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
+        if self.runs_per_cell > MAX_RUNS_PER_CELL:
+            raise ValueError(
+                f"runs_per_cell must be at most {MAX_RUNS_PER_CELL}, got {self.runs_per_cell}"
+            )
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 

@@ -28,7 +28,7 @@ def points_array(points: Sequence[Point] | np.ndarray) -> np.ndarray:
         if points.ndim < 2 or points.shape[-1] != 2:
             raise ValueError(f"points must have shape (..., n, 2), got {points.shape}")
         return points.astype(float, copy=False)
-    if any(len(p) != 2 for p in points):
+    if set(map(len, points)) - {2}:
         raise ValueError("every point must have exactly two coordinates")
     return np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(len(points), 2)
 

@@ -1,7 +1,7 @@
 """World model: random planar graphs, target random walks, observer kinematics.
 
 All motion here is pure: stepping functions take a state and an explicit
-random generator and return a new state, so trajectories are reproducible
+random generator and return the next state, so trajectories are reproducible
 from the generator alone.
 """
 
@@ -72,8 +72,7 @@ class PlanarGraph:
         return cls(verts, tuple(edges), tuple(tuple(inc) for inc in incident))
 
 
-@dataclass(frozen=True, slots=True)
-class TargetState:
+class TargetState(NamedTuple):
     """A target walking an edge: index of the edge, the endpoint it is
     heading toward, distance already covered from the opposite endpoint,
     and speed in length units per step."""
@@ -154,24 +153,21 @@ def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generat
     return TargetState(edge=edge, toward=toward, offset=offset, speed=speed)
 
 
-def _interpolate(graph: PlanarGraph, edge: int, toward: int, offset: float) -> Point:
-    e = graph.edges[edge]
-    if toward == e.v:
-        src = graph.vertices[e.u]
-    elif toward == e.u:
-        src = graph.vertices[e.v]
-    else:
-        raise ValueError(f"state heads toward vertex {toward}, not an endpoint of edge {edge}")
-    if not 0.0 <= offset <= e.length:
-        raise ValueError(f"offset {offset} outside [0, {e.length}] on edge {edge}")
-    dst = graph.vertices[toward]
-    f = offset / e.length
-    return Point(src.x + f * (dst.x - src.x), src.y + f * (dst.y - src.y))
-
-
 def target_point(graph: PlanarGraph, state: TargetState) -> Point:
     """Planar position of a target state on its edge."""
-    return _interpolate(graph, state.edge, state.toward, state.offset)
+    edge, toward, offset, _ = state
+    u, v, length = graph.edges[edge]
+    if toward == v:
+        sx, sy = graph.vertices[u]
+    elif toward == u:
+        sx, sy = graph.vertices[v]
+    else:
+        raise ValueError(f"state heads toward vertex {toward}, not an endpoint of edge {edge}")
+    if not 0.0 <= offset <= length:
+        raise ValueError(f"offset {offset} outside [0, {length}] on edge {edge}")
+    dx, dy = graph.vertices[toward]
+    f = offset / length
+    return Point(sx + f * (dx - sx), sy + f * (dy - sy))
 
 
 def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator) -> TargetState:
@@ -182,9 +178,8 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
     arrival edge included) and the leftover distance is spent on it within
     the same step.
     """
-    edge = state.edge
-    toward = state.toward
-    offset = state.offset + state.speed
+    edge, toward, offset, speed = state
+    offset += speed
     length = graph.edges[edge].length
     while offset >= length:
         offset -= length
@@ -192,23 +187,28 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
         edge = incident[int(rng.integers(len(incident)))]
         u, v, length = graph.edges[edge]
         toward = v if u == toward else u
-    return TargetState(edge=edge, toward=toward, offset=offset, speed=state.speed)
+    return TargetState(edge, toward, offset, speed)
 
 
 def step_observer(state: ObserverState) -> ObserverState:
     """Move an observer up to one unit straight toward its destination.
 
     Arrival within one step's reach snaps exactly onto the destination;
-    the observer then holds position until given a new destination.
+    the observer then holds position until given a new destination, and
+    a state at rest (position and destination one object) is returned as is.
     """
-    px, py = state.position
-    dx = state.destination.x - px
-    dy = state.destination.y - py
+    position, destination = state.position, state.destination
+    if position is destination:
+        return state
+    px, py = position
+    qx, qy = destination
+    dx = qx - px
+    dy = qy - py
     gap = math.hypot(dx, dy)
     if gap <= 1.0:
-        return ObserverState(state.destination, state.destination)
+        return ObserverState(destination, destination)
     f = 1.0 / gap
-    return ObserverState(Point(px + f * dx, py + f * dy), state.destination)
+    return ObserverState(Point(px + f * dx, py + f * dy), destination)
 
 
 def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> Point:
@@ -221,8 +221,11 @@ def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> Poin
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    e = graph.edges[state.edge]
-    offset = state.offset + state.speed * horizon
-    if offset > e.length:
-        offset = e.length
-    return _interpolate(graph, state.edge, state.toward, offset)
+    edge, toward, offset, speed = state
+    offset += speed * horizon
+    length = graph.edges[edge].length
+    if offset > length:
+        offset = length
+    # A plain tuple in TargetState's field order: target_point only unpacks
+    # it, and the named tuple's constructor would add a third to this call.
+    return target_point(graph, (edge, toward, offset, speed))

@@ -154,3 +154,63 @@ def polygon_area(vertices: Sequence[XY]) -> float:
 
 def triangle_area(a: XY, b: XY, c: XY) -> float:
     return abs(polygon_area([a, b, c]))
+
+
+# -- world step -------------------------------------------------------------
+#
+# Scalar references for one target or observer step, on plain data: a
+# target is an (edge, toward, offset, speed) tuple on a graph given by its
+# vertex (x, y) pairs, its (u, v, length) edges and its per-vertex incident
+# edge lists. The arithmetic repeats the package's step for step, so the two
+# must agree bit for bit, random draws included.
+
+
+def target_point_scalar(vertices: Sequence[XY], edges, state) -> XY:
+    """Position of a target at ``offset`` along its edge, measured from the
+    endpoint it heads away from."""
+    edge, toward, offset, _ = state
+    u, v, length = edges[edge]
+    if toward == v:
+        start = u
+    elif toward == u:
+        start = v
+    else:
+        raise ValueError(f"vertex {toward} is not an endpoint of edge {edge}")
+    if offset < 0.0 or offset > length:
+        raise ValueError(f"offset {offset} outside [0, {length}]")
+    sx, sy = vertices[start]
+    dx, dy = vertices[toward]
+    f = offset / length
+    return (sx + f * (dx - sx), sy + f * (dy - sy))
+
+
+def step_target_scalar(edges, adjacency, state, rng):
+    """One random-walk step: move ``speed`` along the edge, and at each
+    vertex reached pick the next edge uniformly among its incident edges
+    (one ``rng.integers`` draw per vertex, in order of arrival)."""
+    edge, toward, offset, speed = state
+    offset = offset + speed
+    while True:
+        u, v, length = edges[edge]
+        if offset < length:
+            return (edge, toward, offset, speed)
+        offset = offset - length
+        choices = adjacency[toward]
+        edge = choices[int(rng.integers(len(choices)))]
+        u, v, _ = edges[edge]
+        if u == toward:
+            toward = v
+        else:
+            toward = u
+
+
+def step_observer_scalar(position: XY, destination: XY) -> tuple[XY, XY]:
+    """One observer step: a unit move toward the destination, or a snap onto
+    it from within one unit."""
+    px, py = position
+    qx, qy = destination
+    gap = math.hypot(qx - px, qy - py)
+    if gap <= 1.0:
+        return destination, destination
+    f = 1.0 / gap
+    return (px + f * (qx - px), py + f * (qy - py)), destination

@@ -204,6 +204,7 @@ class TestSweep:
             ("--jobs", "2.5", "jobs must be an integer, got 2.5"),
             ("--jobs", "inf", "jobs must be an integer, got inf"),
             ("--jobs", "100000", f"jobs must be at most {harness.MAX_JOBS}, got 100000"),
+            ("--runs", "1000000000", f"runs_per_cell must be at most {harness.MAX_RUNS_PER_CELL}, got 1000000000"),
         ],
     )
     def test_bad_count_is_one_error_line(self, tmp_path, capsys, monkeypatch, option, value, message):

@@ -78,6 +78,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="runs_per_cell"):
             SweepSpec(varied="sr", runs_per_cell=0)
 
+    def test_rejects_runs_above_the_cap(self):
+        # run_sweep builds every config before the first run, so the cap is
+        # checked when the spec is built; the cap itself is accepted
+        cap = harness.MAX_RUNS_PER_CELL
+        assert SweepSpec(varied="sr", runs_per_cell=cap).runs_per_cell == cap
+        for runs in (cap + 1, 10**9):
+            with pytest.raises(ValueError, match=f"runs_per_cell must be at most {cap}, got {runs}"):
+                SweepSpec(varied="sr", runs_per_cell=runs)
+
     def test_rejects_negative_base_seed(self):
         with pytest.raises(ValueError, match="base_seed"):
             SweepSpec(varied="sr", base_seed=-1)

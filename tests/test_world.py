@@ -24,7 +24,7 @@ from ctosim.world import (
     step_target,
     target_point,
 )
-from oracles import segments_cross
+from oracles import segments_cross, step_observer_scalar, step_target_scalar, target_point_scalar
 
 
 def triangle_graph() -> PlanarGraph:
@@ -320,3 +320,68 @@ def test_step_target_preserves_invariants(edge, frac, head, speed, seed):
     assert after.toward in (ea.u, ea.v)
     assert after.speed == speed
     assert distance(before, target_point(g, after)) <= speed + 1e-9
+
+
+def _short_edge_graph() -> PlanarGraph:
+    """A triangle of 0.3-unit edges: a unit step crosses several vertices."""
+    verts = [Point(0.0, 0.0), Point(0.3, 0.0), Point(0.15, 0.26)]
+    return PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
+
+
+def _hex(point) -> tuple[str, str]:
+    return tuple(float(c).hex() for c in point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    which=st.sampled_from(["random", "short", "wheel"]),
+    edge=st.integers(min_value=0, max_value=10_000),
+    frac=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    head=st.booleans(),
+    speed_frac=st.floats(min_value=1e-6, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_target_world_step_equals_the_scalar_oracle(which, edge, frac, head, speed_frac, seed):
+    g = {"random": _property_graph, "short": _short_edge_graph, "wheel": lambda: wheel_graph(6)}[which]()
+    longest = max(e.length for e in g.edges)
+    ei = edge % len(g.edges)
+    e = g.edges[ei]
+    # frac 1.0 puts the target exactly on the vertex it heads toward
+    s = TargetState(ei, e.v if head else e.u, e.length if frac == 1.0 else frac * e.length, speed_frac * longest)
+    plain = (s.edge, s.toward, s.offset, s.speed)
+    assert _hex(target_point(g, s)) == _hex(target_point_scalar(g.vertices, g.edges, plain))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        s = step_target(g, s, rng)
+        plain = step_target_scalar(g.edges, g.adjacency, plain, oracle_rng)
+        assert (s.edge, s.toward, s.offset.hex(), s.speed.hex()) == (plain[0], plain[1], plain[2].hex(), plain[3].hex())
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert _hex(target_point(g, s)) == _hex(target_point_scalar(g.vertices, g.edges, plain))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(min_value=0.0, max_value=150.0),
+    y=st.floats(min_value=0.0, max_value=150.0),
+    gap=st.one_of(
+        st.just(0.0),
+        st.just(1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.floats(min_value=3.0, max_value=300.0),
+    ),
+    angle=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0 * math.pi)),
+)
+def test_observer_world_step_equals_the_scalar_oracle(x, y, gap, angle):
+    position = Point(x, y)
+    destination = Point(x + gap * math.cos(angle), y + gap * math.sin(angle))
+    states = [ObserverState(position, destination)]
+    if gap == 0.0:
+        # at rest: the destination itself, and an equal but distinct point
+        states += [ObserverState(destination, destination), ObserverState(Point(x, y), destination)]
+    for state in states:
+        plain = (tuple(state.position), tuple(state.destination))
+        for _ in range(3):
+            state = step_observer(state)
+            plain = step_observer_scalar(*plain)
+            assert (_hex(state.position), _hex(state.destination)) == (_hex(plain[0]), _hex(plain[1]))
