@@ -71,7 +71,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = run_simulation(cfg)
-    print(f"rho={result.rho:.6f} seed={result.seed} wall_time_s={result.wall_time:.3f}")
+    print(f"rho={result.rho:.6f} seed={result.config.seed} wall_time_s={result.wall_time:.3f}")
     return 0
 
 

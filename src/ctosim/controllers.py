@@ -24,9 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Point
-from .metrics import mean_pairwise_observer_distance, points_array
+from .metrics import mean_pairwise_observer_distance, points_array, squared_distances
 from .world import PlanarGraph, TargetState, predict_target
 
+N_CANDIDATES = 100
 DEFAULT_PERTURB_MAG = 10.0
 KMEANS_MAX_ITERS = 50
 KMEANS_TOL = 1e-6
@@ -65,20 +66,12 @@ class ControlInput:
             raise ValueError("at least one observer is required")
         if not self.sr > 0.0:
             raise ValueError(f"sensor range must be positive, got {self.sr}")
+        if len(self.arena) != 2 or not all(0.0 < size < math.inf for size in self.arena):
+            raise ValueError(f"arena must be two finite, positive sizes, got {self.arena}")
 
 
 def _rows_to_points(rows: np.ndarray) -> list[Point]:
     return [Point(x, y) for x, y in rows.tolist()]
-
-
-def _squared_distances(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(N, M) squared distances, with ``observation_matrix``'s arithmetic."""
-    dx = points[:, 0, None] - targets[:, 0]
-    dy = points[:, 1, None] - targets[:, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
 
 
 def _covered_counts(
@@ -118,7 +111,7 @@ def _covered_counts(
     centres = np.clip(base, 0.0, arena)
     # (target, observer) pairs in target order, so each target's pairs are
     # one run of rows below; a run starts where the target changes
-    pair_target, pair_observer = np.nonzero(_squared_distances(centres, targets).T <= reach * reach)
+    pair_target, pair_observer = np.nonzero(squared_distances(centres, targets).T <= reach * reach)
     starts = np.ones(len(pair_target), dtype=bool)
     np.not_equal(pair_target[1:], pair_target[:-1], out=starts[1:])
     # pairs-major (P, C): each pair's candidates are one contiguous row
@@ -151,7 +144,7 @@ def _hc_family(
     np.maximum(candidates, 0.0, out=candidates)
     np.minimum(candidates, arena, out=candidates)
 
-    current_count = int((_squared_distances(base, targets) <= inp.sr * inp.sr).any(axis=0).sum())
+    current_count = int((squared_distances(base, targets) <= inp.sr * inp.sr).any(axis=0).sum())
     counts = _covered_counts(candidates, base, targets, inp.sr, mag, arena)
     best = int(np.argmax(counts))
     if int(counts[best]) > current_count:
@@ -160,24 +153,16 @@ def _hc_family(
     if not use_dispersion or len(base) < 2:
         return list(inp.current_destinations)
 
-    tied = np.flatnonzero(counts == current_count)
-    if len(tied) == 0:
-        return list(inp.current_destinations)
-    pick = int(tied[0])
-    if len(tied) > 1:
-        # Spread is scored over the tied sets only. A batch of two or more
-        # sets gives each set's mean bit for bit as a batch of all the
-        # candidates would, so the first greatest is the same set.
-        pick = int(tied[np.argmax(mean_pairwise_observer_distance(candidates[tied]))])
-    # Settle the adoption with two single-set calls so the guarantee is exact:
-    # a batched mean may differ from a single-set one in the last bit.
-    if mean_pairwise_observer_distance(candidates[pick]) > mean_pairwise_observer_distance(base):
-        return _rows_to_points(candidates[pick])
-    return list(inp.current_destinations)
+    # The incumbent and the tied candidates in one batch, so every spread
+    # has the same arithmetic; the incumbent comes first and wins every tie,
+    # so a candidate is adopted only by a strictly greater spread.
+    tied = candidates[counts == current_count]
+    pick = int(np.argmax(mean_pairwise_observer_distance(np.concatenate([base[None], tied]))))
+    return _rows_to_points(tied[pick - 1]) if pick else list(inp.current_destinations)
 
 
 def hc_control(
-    inp: ControlInput, n_candidates: int = 100, mag: float = DEFAULT_PERTURB_MAG
+    inp: ControlInput, n_candidates: int = N_CANDIDATES, mag: float = DEFAULT_PERTURB_MAG
 ) -> list[Point]:
     """Hill climbing on coverage alone; ties and regressions keep the
     current destinations."""
@@ -185,7 +170,7 @@ def hc_control(
 
 
 def hc_h_control(
-    inp: ControlInput, n_candidates: int = 100, mag: float = DEFAULT_PERTURB_MAG
+    inp: ControlInput, n_candidates: int = N_CANDIDATES, mag: float = DEFAULT_PERTURB_MAG
 ) -> list[Point]:
     """Hill climbing with the dispersion tie-break: coverage first, then
     observer spread among coverage ties."""
@@ -227,8 +212,7 @@ def kmeans_control(inp: ControlInput) -> list[Point]:
     pts = points_array(inp.target_eval_points)
     centroids = points_array(inp.observer_points)
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)
+        assign = np.argmin(squared_distances(pts, centroids), axis=1)
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, pts)
         sizes = np.bincount(assign, minlength=len(centroids))

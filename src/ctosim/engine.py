@@ -12,11 +12,12 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .controllers import (
+    N_CANDIDATES,
     ControlInput,
     ControllerKind,
     hc_control,
@@ -72,10 +73,11 @@ def derive_streams(seed: int) -> SeedStreams:
 class SimConfig:
     """Complete description of one simulation run. Defaults follow the
     benchmark setup: a 150 x 150 arena, 1500 steps, 12 observers watching
-    24 targets on a 40-vertex graph, with the median parameter settings."""
+    24 targets on a 40-vertex graph, with the median parameter settings.
+    The arena's size is a constant of the model, not a setting."""
 
-    width: float = 150.0
-    height: float = 150.0
+    width: ClassVar[float] = 150.0
+    height: ClassVar[float] = 150.0
     steps: int = 1500
     n_observers: int = 12
     n_targets: int = 24
@@ -84,22 +86,18 @@ class SimConfig:
     rv: float = 0.5
     ur: float = 0.25
     controller: ControllerKind = ControllerKind.HC_H
-    n_candidates: int = 100
-    perturb_mag: float = 10.0
     horizon: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("width", "height", "sr", "rv", "ur", "perturb_mag"):
+        for name in ("sr", "rv", "ur"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("steps", "n_observers", "n_targets", "n_vertices", "n_candidates", "horizon", "seed"):
+        for name in ("steps", "n_observers", "n_targets", "n_vertices", "horizon", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.width <= 0.0 or self.height <= 0.0:
-            raise ValueError(f"arena must have positive dimensions, got {self.width} x {self.height}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 1 <= self.n_observers <= MAX_AGENTS:
@@ -115,10 +113,6 @@ class SimConfig:
             raise ValueError(f"target speed must be in (0, {diagonal:g}], the arena diagonal; got {self.rv}")
         if not 0.0 < self.ur <= 1.0:
             raise ValueError(f"update rate must be in (0, 1], got {self.ur}")
-        if self.n_candidates < 1:
-            raise ValueError(f"need at least 1 candidate, got {self.n_candidates}")
-        if self.perturb_mag < 0.0:
-            raise ValueError(f"perturbation magnitude must be >= 0, got {self.perturb_mag}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.seed < 0:
@@ -130,7 +124,6 @@ class RunResult:
     """Outcome of one run: the coverage index plus reproducibility metadata."""
 
     rho: float
-    seed: int
     config: SimConfig
     wall_time: float
     observed_counts: tuple[int, ...] | None = None
@@ -162,13 +155,12 @@ def _next_destinations(
     )
     if cfg.controller is ControllerKind.KMEANS:
         return kmeans_control(inp)
+    # The count goes positionally: the benchmark's tracer reads it as args[1].
     if cfg.controller is ControllerKind.HC:
-        return hc_control(inp, cfg.n_candidates, mag=cfg.perturb_mag)
+        return hc_control(inp, N_CANDIDATES)
     if cfg.controller is ControllerKind.HC_H:
-        return hc_h_control(inp, cfg.n_candidates, mag=cfg.perturb_mag)
-    return hc_hp_control(
-        inp, cfg.n_candidates, cfg.horizon, graph, targets, mag=cfg.perturb_mag
-    )
+        return hc_h_control(inp, N_CANDIDATES)
+    return hc_hp_control(inp, N_CANDIDATES, cfg.horizon, graph, targets)
 
 
 def run_simulation(
@@ -217,7 +209,6 @@ def run_simulation(
 
     return RunResult(
         rho=finalize_rho(observed_sum, cfg.steps, cfg.n_targets),
-        seed=cfg.seed,
         config=cfg,
         wall_time=time.perf_counter() - start,
         observed_counts=tuple(counts) if record_counts else None,

@@ -214,7 +214,7 @@ def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
                     _fmt_value(cfg.sr),
                     _fmt_value(cfg.rv),
                     _fmt_value(cfg.ur),
-                    rec.result.seed,
+                    rec.result.config.seed,
                     f"{rec.result.rho:.6f}",
                     f"{rec.result.wall_time:.6f}",
                 ]

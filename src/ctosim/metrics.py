@@ -33,6 +33,17 @@ def points_array(points: Sequence[Point] | np.ndarray) -> np.ndarray:
     return np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(len(points), 2)
 
 
+def squared_distances(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Squared distances of shape (..., N, M) from points (..., N, 2) to
+    targets (M, 2): ``dx*dx + dy*dy``, each step rounded once."""
+    dx = points[..., 0, None] - targets[:, 0]
+    dy = points[..., 1, None] - targets[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def observation_matrix(
     observer_points: Sequence[Point] | np.ndarray, target_points: Sequence[Point], sr: float
 ) -> np.ndarray:
@@ -46,11 +57,7 @@ def observation_matrix(
     """
     if not sr > 0.0:
         raise ValueError(f"sensor range must be positive, got {sr}")
-    obs = points_array(observer_points)
-    tgt = points_array(target_points)
-    dx = obs[..., 0, None] - tgt[:, 0]
-    dy = obs[..., 1, None] - tgt[:, 1]
-    return dx * dx + dy * dy <= sr * sr
+    return squared_distances(points_array(observer_points), points_array(target_points)) <= sr * sr
 
 
 def finalize_rho(observed_sum: int, steps: int, n_targets: int) -> float:

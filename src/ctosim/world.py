@@ -127,8 +127,8 @@ def generate_random_graph(
     """
     if not 3 <= n_vertices <= MAX_VERTICES:
         raise ValueError(f"need 3 to {MAX_VERTICES} vertices, got {n_vertices}")
-    if width <= 0.0 or height <= 0.0:
-        raise ValueError(f"arena dimensions must be positive, got {width} x {height}")
+    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+        raise ValueError(f"arena dimensions must be finite and positive, got {width} x {height}")
 
     high = np.asarray([width, height], dtype=float)
     for _ in range(max_attempts):
@@ -144,8 +144,8 @@ def generate_random_graph(
 
 def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generator) -> TargetState:
     """Place a target uniformly: random edge, random offset along it, random heading."""
-    if speed <= 0.0:
-        raise ValueError(f"target speed must be positive, got {speed}")
+    if not 0.0 < speed < math.inf:
+        raise ValueError(f"target speed must be finite and positive, got {speed}")
     edge = int(rng.integers(len(graph.edges)))
     e = graph.edges[edge]
     offset = float(rng.uniform(0.0, e.length))

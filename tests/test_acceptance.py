@@ -63,7 +63,7 @@ def _cell_mean(sweep, controller: ControllerKind, value: float) -> float:
 
 def _cell_rhos(sweep, controller: ControllerKind, value: float) -> list[tuple[int, float]]:
     return [
-        (r.result.seed, r.result.rho)
+        (r.result.config.seed, r.result.rho)
         for r in sweep.records
         if r.controller is controller and r.value == value
     ]
@@ -363,6 +363,7 @@ def trend_check(label, chain, direction):
     return failures, notes
 
 
+@pytest.mark.grid
 def test_criterion_07_trends(criterion, grid):
     failures, notes = [], []
 
@@ -429,6 +430,7 @@ def test_trend_check_fails_a_flat_chain():
     assert "endpoints" in failures[0]
 
 
+@pytest.mark.grid
 def test_criterion_08_controller_ordering(criterion, grid):
     holds = 0
     details = []
@@ -452,6 +454,7 @@ def test_criterion_08_controller_ordering(criterion, grid):
     assert holds >= 13, f"ordering holds in only {holds}/15 cells"
 
 
+@pytest.mark.grid
 def test_criterion_09_soft_value_check(criterion, grid):
     """Soft targets: reported, never failing."""
     checks = (
@@ -474,6 +477,7 @@ def test_criterion_09_soft_value_check(criterion, grid):
     # deliberately no assert: a miss is informative, not fatal
 
 
+@pytest.mark.grid
 def test_criterion_10_prediction_benefit(criterion, grid):
     details = []
     ok = True

@@ -134,6 +134,18 @@ class TestControlInputValidation:
         with pytest.raises(ValueError, match="sensor range"):
             _mk_input([(0, 0)], [(5, 5)], math.nan, 0)
 
+    @pytest.mark.parametrize(
+        "arena", [(-5.0, 150.0), (0.0, 150.0), (math.nan, 150.0), (150.0, math.inf), (150.0,)]
+    )
+    def test_arena_must_be_two_finite_positive_sizes(self, arena):
+        # (-5, 150) let the climbers clamp destinations to x = -5, and
+        # (nan, 150) made them keep the current destinations silently
+        with pytest.raises(ValueError, match="arena"):
+            ControlInput(
+                tuple(_pts([(0, 0)])), tuple(_pts([(0, 0)])), tuple(_pts([(5, 5)])), 5.0, arena,
+                np.random.default_rng(0),
+            )
+
 
 def test_controller_kind_parse():
     assert ControllerKind.parse("kmeans") is ControllerKind.KMEANS
@@ -331,9 +343,8 @@ class TestHillClimbWithDispersion:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_choice_equals_the_loop_oracle(self, data):
-        # The spread tie-break scores only the candidates whose coverage ties
-        # the incumbent's, and skips the batch when exactly one ties. Targets
-        # are placed against the replayed draw so that every candidate ties,
+        # The spread tie-break scores the incumbent and the candidates whose
+        # coverage ties the incumbent's in one batch. Targets are placed against the replayed draw so that every candidate ties,
         # exactly one does, none does, or (free) whatever a random draw gives.
         ties = data.draw(st.sampled_from(["every", "one", "none", "free"]), "ties")
         n = data.draw(st.integers(2, 5), "observers")
@@ -384,6 +395,19 @@ class TestHillClimbWithDispersion:
         inp = _mk_input(dests, [(75.0, 75.0)], 1.0, seed=8)
         out = hc_h_control(inp, 100)
         assert out == _pts(dests)
+
+    def test_candidates_equal_to_the_incumbent_keep_it(self):
+        # with mag=0 every candidate is the incumbent itself, so it ties in
+        # coverage and in spread; a tie keeps the current destinations, the
+        # very objects and not equal copies
+        g, states = TestHillClimbWithPrediction._world(7)
+        dests = [(20.0, 30.0), (75.0, 75.0), (140.0, 10.0)]
+        cur = [(p.x, p.y) for p in (target_point(g, s) for s in states)]
+        for control, extra in ((hc_h_control, ()), (hc_hp_control, (10, g, states))):
+            inp = _mk_input(dests, cur, 15.0, seed=5)
+            out = control(inp, 100, *extra, mag=0.0)
+            assert len(out) == len(dests)
+            assert all(a is b for a, b in zip(out, inp.current_destinations))
 
     def test_never_lexicographically_worse(self):
         rng = np.random.default_rng(77)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import ctosim.controllers as controllers
 import ctosim.engine as engine
 from ctosim.controllers import ControllerKind
 from ctosim.engine import (
@@ -29,13 +30,17 @@ class TestSimConfigValidation:
         assert (cfg.n_observers, cfg.n_targets, cfg.n_vertices) == (12, 24, 40)
         assert (cfg.sr, cfg.rv, cfg.ur) == (15.0, 0.5, 0.25)
         assert cfg.controller is ControllerKind.HC_H
-        assert cfg.n_candidates == 100
         assert cfg.horizon == 10
+        # the arena's size, the candidate count and the perturbation are
+        # constants of the model, not settings
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "steps", "n_observers", "n_targets", "n_vertices", "sr", "rv", "ur", "controller", "horizon", "seed"
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(width=0.0),
+            dict(sr=-15.0),
             dict(steps=0),
             dict(n_observers=0),
             dict(n_targets=0),
@@ -44,21 +49,21 @@ class TestSimConfigValidation:
             dict(rv=0.0),
             dict(ur=0.0),
             dict(ur=1.5),
-            dict(n_candidates=0),
+            dict(rv=-0.5),
             dict(horizon=-1),
             dict(rv=math.inf),
             dict(sr=math.nan),
-            dict(width=math.nan),
-            dict(height=-math.inf),
+            dict(rv=math.nan),
+            dict(sr=-math.inf),
             dict(ur=math.nan),
-            dict(perturb_mag=math.inf),
-            dict(perturb_mag=-1.0),
+            dict(ur=math.inf),
+            dict(ur=-0.25),
             dict(sr=True),
             dict(sr="15"),
             dict(steps=True),
             dict(steps=10.0),
             dict(n_targets=False),
-            dict(n_candidates=2.5),
+            dict(n_vertices=40.0),
             dict(horizon=None),
             dict(seed=1.0),
             dict(seed=-1),
@@ -73,8 +78,8 @@ class TestSimConfigValidation:
             SimConfig(**kwargs)
 
     def test_accepts_integer_lengths_and_numpy_integers(self):
-        cfg = SimConfig(width=150, sr=15, steps=np.int64(10), seed=np.int64(3), perturb_mag=0.0)
-        assert run_simulation(cfg).rho == run_simulation(SimConfig(steps=10, seed=3, perturb_mag=0.0)).rho
+        cfg = SimConfig(sr=15, steps=np.int64(10), seed=np.int64(3))
+        assert run_simulation(cfg).rho == run_simulation(SimConfig(steps=10, seed=3)).rho
 
 
 class TestUpdateSchedule:
@@ -152,7 +157,7 @@ class TestRunSimulation:
         assert type(r.rho) is float
         assert all(type(c) is int for c in r.observed_counts)
         assert 0.0 <= r.rho <= 1.0
-        assert r.seed == 2
+        assert r.config.seed == 2
         assert r.config is cfg
         assert r.wall_time > 0.0
 
@@ -264,25 +269,35 @@ def test_rho_is_bitwise_pinned_for_fast_targets(label, setting):
 def test_world_calls_go_through_the_engine_module_names(monkeypatch):
     # Profilers and the benchmark's tracer wrap these module attributes; a
     # call that bypasses them (a name bound elsewhere at import time) would
-    # silently hide its time and arguments.
-    cfg = SimConfig(controller=ControllerKind.HC_HP, steps=40, seed=6, n_observers=5, n_targets=7)
-    expected = run_simulation(cfg).rho
-    calls = dict.fromkeys(("step_target", "target_point", "step_observer", "observation_matrix"), 0)
+    # silently hide its time and arguments. The tracer also reads a hill
+    # climber's candidate count from its second positional argument.
+    base = SimConfig(steps=40, seed=6, n_observers=5, n_targets=7)
+    expected = {kind: run_simulation(dataclasses.replace(base, controller=kind)).rho for kind in ControllerKind}
+    world = ("step_target", "target_point", "step_observer", "observation_matrix")
+    control = {kind: kind.value.replace("-", "_") + "_control" for kind in ControllerKind}
+    calls = {name: [] for name in world + tuple(control.values())}
 
-    def counting(name, fn):
+    def recording(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(args)
             return fn(*args, **kwargs)
 
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
-    rho = run_simulation(cfg).rho
-    assert calls == {
-        "step_target": cfg.steps * cfg.n_targets,
-        "target_point": (cfg.steps + 1) * cfg.n_targets,
-        "step_observer": cfg.steps * cfg.n_observers,
-        "observation_matrix": cfg.steps,
-    }
-    assert rho.hex() == expected.hex()
+        monkeypatch.setattr(engine, name, recording(name, getattr(engine, name)))
+    for kind in ControllerKind:
+        for log in calls.values():
+            log.clear()
+        cfg = dataclasses.replace(base, controller=kind)
+        rho = run_simulation(cfg).rho
+        assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, 0) | {
+            "step_target": cfg.steps * cfg.n_targets,
+            "target_point": (cfg.steps + 1) * cfg.n_targets,
+            "step_observer": cfg.steps * cfg.n_observers,
+            "observation_matrix": cfg.steps,
+            control[kind]: math.ceil(cfg.steps / update_period(cfg.ur)),
+        }
+        if kind is not ControllerKind.KMEANS:
+            assert {args[1] for args in calls[control[kind]]} == {controllers.N_CANDIDATES}
+        assert rho.hex() == expected[kind].hex()

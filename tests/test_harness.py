@@ -124,7 +124,7 @@ class TestRunSweep:
         result = two_controller_result
         # cells are ordered controller-major, then value, then seed
         assert len(result.records) == 2 * 2 * 3
-        keys = [(r.controller, r.value, r.result.seed) for r in result.records]
+        keys = [(r.controller, r.value, r.result.config.seed) for r in result.records]
         expected = [
             (ctrl, value, seed)
             for ctrl in (ControllerKind.KMEANS, ControllerKind.HC)
@@ -157,9 +157,9 @@ class TestRunSweep:
     def test_seeds_are_paired_across_controllers(self, two_controller_result):
         result = two_controller_result
         kmeans_seeds = [
-            r.result.seed for r in result.records if r.controller is ControllerKind.KMEANS
+            r.result.config.seed for r in result.records if r.controller is ControllerKind.KMEANS
         ]
-        hc_seeds = [r.result.seed for r in result.records if r.controller is ControllerKind.HC]
+        hc_seeds = [r.result.config.seed for r in result.records if r.controller is ControllerKind.HC]
         assert kmeans_seeds == hc_seeds
 
     def test_single_run_cell_has_zero_sd(self):

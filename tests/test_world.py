@@ -123,6 +123,14 @@ class TestGenerateRandomGraph:
         with pytest.raises(ValueError):
             generate_random_graph(10, -1.0, 150.0, rng)
 
+    @pytest.mark.parametrize(
+        "width, height", [(math.inf, 150.0), (150.0, math.inf), (math.nan, 150.0), (150.0, math.nan)]
+    )
+    def test_arena_must_be_finite(self, width, height):
+        # numpy's own error for an infinite range was an OverflowError
+        with pytest.raises(ValueError, match="finite and positive"):
+            generate_random_graph(10, width, height, np.random.default_rng(0))
+
     def test_gives_up_after_max_attempts(self):
         class CollinearRng:
             # every draw lands on one line, so triangulation keeps failing
@@ -147,6 +155,12 @@ class TestRandomTargetState:
     def test_speed_must_be_positive(self):
         with pytest.raises(ValueError):
             random_target_state(triangle_graph(), 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("speed", [math.inf, math.nan, -math.inf, -0.5])
+    def test_speed_must_be_finite_and_positive(self, speed):
+        # inf made the first step_target loop forever and nan gave nan offsets
+        with pytest.raises(ValueError, match="finite and positive"):
+            random_target_state(triangle_graph(), speed, np.random.default_rng(0))
 
     def test_placement_is_uniform(self):
         g = triangle_graph()
