@@ -52,9 +52,9 @@ class ControllerKind(Enum):
 class ControlInput:
     """Everything a controller may look at when choosing destinations."""
 
-    observer_points: tuple[Point, ...]
+    observer_points: tuple[tuple[float, float], ...]
     current_destinations: tuple[Point, ...]
-    target_eval_points: tuple[Point, ...]
+    target_eval_points: tuple[tuple[float, float], ...]
     sr: float
     arena: tuple[float, float]
     rng: np.random.Generator

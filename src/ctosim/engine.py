@@ -117,6 +117,8 @@ class SimConfig:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.controller, ControllerKind):
+            raise ValueError(f"controller must be a ControllerKind, got {self.controller!r}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _next_destinations(
     cfg: SimConfig,
     graph: PlanarGraph,
     targets: list[TargetState],
-    target_pts: tuple[Point, ...],
+    target_pts: tuple[tuple[float, float], ...],
     observers: list[ObserverState],
     rng: np.random.Generator,
 ) -> list[Point]:
@@ -160,7 +162,9 @@ def _next_destinations(
         return hc_control(inp, N_CANDIDATES)
     if cfg.controller is ControllerKind.HC_H:
         return hc_h_control(inp, N_CANDIDATES)
-    return hc_hp_control(inp, N_CANDIDATES, cfg.horizon, graph, targets)
+    if cfg.controller is ControllerKind.HC_HP:
+        return hc_hp_control(inp, N_CANDIDATES, cfg.horizon, graph, targets)
+    raise ValueError(f"unknown controller {cfg.controller!r}")
 
 
 def run_simulation(
@@ -205,7 +209,7 @@ def run_simulation(
         if record_counts:
             counts.append(observed)
         if record_targets:
-            trace.append(target_pts)
+            trace.append(tuple(map(Point._make, target_pts)))
 
     return RunResult(
         rho=finalize_rho(observed_sum, cfg.steps, cfg.n_targets),

@@ -78,6 +78,8 @@ class SweepSpec:
                 )
         if not self.controllers:
             raise ValueError("at least one controller is required")
+        if not all(isinstance(kind, ControllerKind) for kind in self.controllers):
+            raise ValueError(f"controllers must be ControllerKind members, got {self.controllers!r}")
         for name in ("runs_per_cell", "base_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -85,10 +85,10 @@ class TargetState(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class ObserverState:
-    """An observer moving in free space toward its destination at unit speed."""
+    """An observer moving at unit speed toward its destination; both are (x, y) pairs."""
 
-    position: Point
-    destination: Point
+    position: tuple[float, float]
+    destination: tuple[float, float]
 
 
 def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]) -> bool:
@@ -153,8 +153,8 @@ def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generat
     return TargetState(edge=edge, toward=toward, offset=offset, speed=speed)
 
 
-def target_point(graph: PlanarGraph, state: TargetState) -> Point:
-    """Planar position of a target state on its edge."""
+def target_point(graph: PlanarGraph, state: TargetState) -> tuple[float, float]:
+    """Planar position of a target state on its edge, as a plain (x, y) pair."""
     edge, toward, offset, _ = state
     u, v, length = graph.edges[edge]
     if toward == v:
@@ -167,7 +167,7 @@ def target_point(graph: PlanarGraph, state: TargetState) -> Point:
         raise ValueError(f"offset {offset} outside [0, {length}] on edge {edge}")
     dx, dy = graph.vertices[toward]
     f = offset / length
-    return Point(sx + f * (dx - sx), sy + f * (dy - sy))
+    return (sx + f * (dx - sx), sy + f * (dy - sy))
 
 
 def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator) -> TargetState:
@@ -187,7 +187,8 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
         edge = incident[int(rng.integers(len(incident)))]
         u, v, length = graph.edges[edge]
         toward = v if u == toward else u
-    return TargetState(edge, toward, offset, speed)
+    # Built without the named tuple's generated __new__, which takes twice as long.
+    return tuple.__new__(TargetState, (edge, toward, offset, speed))
 
 
 def step_observer(state: ObserverState) -> ObserverState:
@@ -208,11 +209,11 @@ def step_observer(state: ObserverState) -> ObserverState:
     if gap <= 1.0:
         return ObserverState(destination, destination)
     f = 1.0 / gap
-    return ObserverState(Point(px + f * dx, py + f * dy), destination)
+    return ObserverState((px + f * dx, py + f * dy), destination)
 
 
-def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> Point:
-    """Projected position of a target ``horizon`` steps ahead.
+def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tuple[float, float]:
+    """Projected (x, y) position of a target ``horizon`` steps ahead.
 
     The projection continues along the current edge only; a target that
     would reach its vertex within the horizon is held at that vertex

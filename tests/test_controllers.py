@@ -402,7 +402,7 @@ class TestHillClimbWithDispersion:
         # very objects and not equal copies
         g, states = TestHillClimbWithPrediction._world(7)
         dests = [(20.0, 30.0), (75.0, 75.0), (140.0, 10.0)]
-        cur = [(p.x, p.y) for p in (target_point(g, s) for s in states)]
+        cur = [target_point(g, s) for s in states]
         for control, extra in ((hc_h_control, ()), (hc_hp_control, (10, g, states))):
             inp = _mk_input(dests, cur, 15.0, seed=5)
             out = control(inp, 100, *extra, mag=0.0)
@@ -437,7 +437,7 @@ class TestHillClimbWithPrediction:
             g, states = self._world(300 + seed)
             rng = np.random.default_rng(seed)
             dests = rng.uniform(0.0, 150.0, size=(5, 2)).tolist()
-            cur = [(p.x, p.y) for p in (target_point(g, s) for s in states)]
+            cur = [target_point(g, s) for s in states]
             a = hc_hp_control(_mk_input(dests, cur, 15.0, seed), 80, 0, g, states)
             b = hc_h_control(_mk_input(dests, cur, 15.0, seed), 80)
             assert a == b
@@ -450,8 +450,8 @@ class TestHillClimbWithPrediction:
             g, states = self._world(600 + seed)
             rng = np.random.default_rng(seed)
             dests = rng.uniform(0.0, 150.0, size=(4, 2)).tolist()
-            cur = [(p.x, p.y) for p in (target_point(g, s) for s in states)]
-            pred = [(p.x, p.y) for p in (predict_target(g, s, 10) for s in states)]
+            cur = [target_point(g, s) for s in states]
+            pred = [predict_target(g, s, 10) for s in states]
             r_hp = hc_hp_control(_mk_input(dests, cur, 12.0, seed), 60, 10, g, states)
             r_h = hc_h_control(_mk_input(dests, pred, 12.0, seed), 60)
             # r_h above was fed the projected points on purpose: both calls
@@ -467,8 +467,8 @@ class TestHillClimbWithPrediction:
             g, states = self._world(900 + seed)
             rng = np.random.default_rng(seed)
             dests = rng.uniform(0.0, 150.0, size=(4, 2)).tolist()
-            cur = [(p.x, p.y) for p in (target_point(g, s) for s in states)]
-            pred = [(p.x, p.y) for p in (predict_target(g, s, 10) for s in states)]
+            cur = [target_point(g, s) for s in states]
+            pred = [predict_target(g, s, 10) for s in states]
             r_hp = hc_hp_control(_mk_input(dests, cur, 12.0, seed), 60, 10, g, states)
             r_h = hc_h_control(_mk_input(dests, cur, 12.0, seed), 60)
             at_pred_hp = observed_count_loops(_as_rows(r_hp), pred, 12.0)

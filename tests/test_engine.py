@@ -17,6 +17,7 @@ from ctosim.engine import (
     run_simulation,
     update_period,
 )
+from ctosim.geometry import Point
 
 # a deliberately small world so each run takes milliseconds
 SMALL = dict(steps=150, n_vertices=12, n_observers=4, n_targets=6)
@@ -71,11 +72,20 @@ class TestSimConfigValidation:
             dict(n_vertices=101),
             dict(n_observers=1001),
             dict(n_targets=1001),
+            dict(controller="kmeans"),
+            dict(controller=None),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_dispatch_rejects_an_unknown_controller(self):
+        # a config that got past the check must fail, not run as hc-hp
+        cfg = SimConfig(steps=5, seed=0)
+        object.__setattr__(cfg, "controller", "kmeans")
+        with pytest.raises(ValueError, match="unknown controller 'kmeans'"):
+            run_simulation(cfg)
 
     def test_accepts_integer_lengths_and_numpy_integers(self):
         cfg = SimConfig(sr=15, steps=np.int64(10), seed=np.int64(3))
@@ -174,6 +184,14 @@ class TestRunSimulation:
             cfg = SimConfig(seed=9, controller=kind, **SMALL)
             traces.append(run_simulation(cfg, record_targets=True).target_trace)
         assert traces[0] == traces[1] == traces[2]
+
+    def test_target_trace_holds_points(self):
+        # positions are plain pairs inside the loop; the recorded trace is
+        # public and holds Points
+        trace = run_simulation(SimConfig(seed=2, **SMALL), record_targets=True).target_trace
+        assert len(trace) == SMALL["steps"]
+        assert all(len(step) == SMALL["n_targets"] for step in trace)
+        assert all(isinstance(p, Point) for step in trace for p in step)
 
     def test_horizon_is_inert_for_non_predictive_controllers(self):
         base = SimConfig(seed=4, controller=ControllerKind.HC_H, **SMALL)

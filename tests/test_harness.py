@@ -74,6 +74,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="controller"):
             SweepSpec(varied="sr", controllers=())
 
+    @pytest.mark.parametrize("controllers", [("kmeans",), "hc", (ControllerKind.HC, "hc-h")])
+    def test_rejects_controllers_that_are_not_kinds(self, controllers):
+        # a label would run the whole sweep as hc-hp, then break emit_csv
+        with pytest.raises(ValueError, match="ControllerKind"):
+            SweepSpec(varied="sr", controllers=controllers)
+
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs_per_cell"):
             SweepSpec(varied="sr", runs_per_cell=0)

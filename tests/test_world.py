@@ -284,7 +284,7 @@ class TestStepObserver:
 
     def test_diagonal_step_has_unit_length(self):
         s = step_observer(ObserverState(Point(0.0, 0.0), Point(30.0, 40.0)))
-        assert math.isclose(math.hypot(s.position.x, s.position.y), 1.0, rel_tol=1e-12)
+        assert math.isclose(math.hypot(*s.position), 1.0, rel_tol=1e-12)
 
 
 class TestPredictTarget:
@@ -346,6 +346,11 @@ def _hex(point) -> tuple[str, str]:
     return tuple(float(c).hex() for c in point)
 
 
+def _plain_pair(point) -> bool:
+    """A plain tuple of two floats, not a Point: the hot path builds no Points."""
+    return type(point) is tuple and len(point) == 2 and all(type(c) is float for c in point)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     which=st.sampled_from(["random", "short", "wheel"]),
@@ -363,14 +368,20 @@ def test_target_world_step_equals_the_scalar_oracle(which, edge, frac, head, spe
     # frac 1.0 puts the target exactly on the vertex it heads toward
     s = TargetState(ei, e.v if head else e.u, e.length if frac == 1.0 else frac * e.length, speed_frac * longest)
     plain = (s.edge, s.toward, s.offset, s.speed)
-    assert _hex(target_point(g, s)) == _hex(target_point_scalar(g.vertices, g.edges, plain))
+    point = target_point(g, s)
+    assert _plain_pair(point)
+    assert _hex(point) == _hex(target_point_scalar(g.vertices, g.edges, plain))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         s = step_target(g, s, rng)
         plain = step_target_scalar(g.edges, g.adjacency, plain, oracle_rng)
+        # the benchmark's tracer reads the result's edge and toward fields
+        assert isinstance(s, TargetState)
         assert (s.edge, s.toward, s.offset.hex(), s.speed.hex()) == (plain[0], plain[1], plain[2].hex(), plain[3].hex())
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        assert _hex(target_point(g, s)) == _hex(target_point_scalar(g.vertices, g.edges, plain))
+        point = target_point(g, s)
+        assert _plain_pair(point)
+        assert _hex(point) == _hex(target_point_scalar(g.vertices, g.edges, plain))
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,4 +409,5 @@ def test_observer_world_step_equals_the_scalar_oracle(x, y, gap, angle):
         for _ in range(3):
             state = step_observer(state)
             plain = step_observer_scalar(*plain)
+            assert isinstance(state, ObserverState)
             assert (_hex(state.position), _hex(state.destination)) == (_hex(plain[0]), _hex(plain[1]))
