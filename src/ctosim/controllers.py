@@ -17,8 +17,9 @@ Four strategies choose where the observers should head next:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -68,58 +69,44 @@ class ControlInput:
             raise ValueError(f"sensor range must be positive, got {self.sr}")
         if len(self.arena) != 2 or not all(0.0 < size < math.inf for size in self.arena):
             raise ValueError(f"arena must be two finite, positive sizes, got {self.arena}")
+        coords = chain(*self.observer_points, *self.current_destinations, *self.target_eval_points)
+        if not all(map(math.isfinite, coords)):
+            raise ValueError("observer points, destinations and target points must be finite")
 
 
 def _rows_to_points(rows: np.ndarray) -> list[Point]:
     return [Point(x, y) for x, y in rows.tolist()]
 
 
-def _covered_counts(
-    candidates: np.ndarray,
-    base: np.ndarray,
-    targets: np.ndarray,
-    sr: float,
-    mag: float,
-    arena: np.ndarray,
-) -> np.ndarray:
-    """Targets covered by each candidate set, equal to
-    ``observation_matrix(candidates, targets, sr).any(axis=-2).sum(axis=-1)``
-    but scored only over the (observer, target) pairs that can count.
+def _covered_counts(sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndarray:
+    """Targets covered by each observer set of ``sets`` (S, N, 2), equal to
+    ``observation_matrix(sets, targets, sr).any(axis=-2).sum(axis=-1)`` but
+    scored only over the (observer, target) pairs that can count.
 
-    ``candidates`` must be ``clip(base + offsets, 0, arena)`` with every
-    offset coordinate in [-mag, mag]. Clipping into a box never moves two
-    points apart along an axis, so candidate observer k lies within mag·√2
-    of ``clip(base_k)``, and a target farther than sr + mag·√2 from that
-    centre is out of every candidate's sight. For a base inside the arena
-    the centre is the base; for one outside, it is the nearest arena point
-    (a reach around the base itself would have to be widened by the base's
-    distance outside, since clipping can move a candidate that far). Each
-    kept pair is tested with the kernel's own arithmetic, so every count
-    equals the kernel's bit for bit.
+    A pair is kept when the target lies within sr of the box spanned by that
+    observer's rows over all sets. The box's nearest point is measured with
+    the kernel's own arithmetic, and rounding is monotone: no row inside the
+    box computes a smaller squared distance than the box's nearest point. So
+    every count equals the kernel's, bit for bit.
     """
-    # Slack on the reach, from a worst-case rounding bound (u = 2**-53,
-    # A = W + H, R = sr + mag·√2). A candidate's computed test passing
-    # gives |c - t| <= sr(1 + 3u) + 2**-536 (each squared difference and the
-    # sum round once; the last term covers subnormal squares). Rounding
-    # base + offset moves a coordinate at most u·A farther, so
-    # |c - centre| <= √2·mag + 1.5u·A. The computed pruning test keeps the
-    # pair when |centre - t| <= reach(1 - 3u) - 2**-536, and computing
-    # mag·√2 and the reach costs 4u·R. Together the reach needs
-    # 10u·R + 1.5u·A + 2**-534 above R; 2**-48·(R + A) + 2**-500 is more.
-    reach = sr + mag * math.sqrt(2.0)
-    reach += 2.0**-48 * (reach + float(arena[0]) + float(arena[1])) + 2.0**-500
-    centres = np.clip(base, 0.0, arena)
+    # coordinate-major (2, N, S): each observer's rows over the sets are one
+    # contiguous run per coordinate, for the box and for the pairs below
+    by_coord = np.ascontiguousarray(sets.transpose(2, 1, 0))
+    # each target's offsets (2, N, M) from the nearest point of each box
+    along = targets.T[:, None, :]
+    nearest = np.maximum(along, by_coord.min(axis=2)[:, :, None])
+    np.minimum(nearest, by_coord.max(axis=2)[:, :, None], out=nearest)
+    nearest -= along
+    nearest *= nearest
     # (target, observer) pairs in target order, so each target's pairs are
     # one run of rows below; a run starts where the target changes
-    pair_target, pair_observer = np.nonzero(squared_distances(centres, targets).T <= reach * reach)
+    pair_target, pair_observer = np.nonzero((nearest[0] + nearest[1]).T <= sr * sr)
     starts = np.ones(len(pair_target), dtype=bool)
     np.not_equal(pair_target[1:], pair_target[:-1], out=starts[1:])
-    # pairs-major (P, C): each pair's candidates are one contiguous row
-    by_observer = np.ascontiguousarray(candidates.transpose(1, 2, 0))
-    dx = by_observer[pair_observer, 0]
+    dx = by_coord[0, pair_observer]
     dx -= targets[pair_target, 0, None]
     dx *= dx
-    dy = by_observer[pair_observer, 1]
+    dy = by_coord[1, pair_observer]
     dy -= targets[pair_target, 1, None]
     dy *= dy
     dx += dy
@@ -128,37 +115,31 @@ def _covered_counts(
 
 
 def _hc_family(
-    inp: ControlInput, n_candidates: int, mag: float, use_dispersion: bool
+    inp: ControlInput, eval_points: Sequence, n_candidates: int, mag: float, use_dispersion: bool
 ) -> list[Point]:
     if n_candidates < 1:
         raise ValueError(f"need at least 1 candidate, got {n_candidates}")
     if not 0.0 <= 2.0 * mag < math.inf:  # the draw spans 2·mag
         raise ValueError(f"perturbation magnitude mag must be >= 0 with 2·mag finite, got {mag}")
     base = points_array(inp.current_destinations)
-    targets = points_array(inp.target_eval_points)
-    arena = np.asarray(inp.arena, dtype=float)
+    targets = points_array(eval_points)
 
     # clip(base + offsets, 0, arena), in the offsets' buffer
     candidates = inp.rng.uniform(-mag, mag, size=(n_candidates,) + base.shape)
     candidates += base
     np.maximum(candidates, 0.0, out=candidates)
-    np.minimum(candidates, arena, out=candidates)
-
-    current_count = int((squared_distances(base, targets) <= inp.sr * inp.sr).any(axis=0).sum())
-    counts = _covered_counts(candidates, base, targets, inp.sr, mag, arena)
-    best = int(np.argmax(counts))
-    if int(counts[best]) > current_count:
-        return _rows_to_points(candidates[best])
-
-    if not use_dispersion or len(base) < 2:
-        return list(inp.current_destinations)
-
-    # The incumbent and the tied candidates in one batch, so every spread
-    # has the same arithmetic; the incumbent comes first and wins every tie,
-    # so a candidate is adopted only by a strictly greater spread.
-    tied = candidates[counts == current_count]
-    pick = int(np.argmax(mean_pairwise_observer_distance(np.concatenate([base[None], tied]))))
-    return _rows_to_points(tied[pick - 1]) if pick else list(inp.current_destinations)
+    np.minimum(candidates, inp.arena, out=candidates)
+    # The incumbent first: argmax returns the first of equal counts, so a
+    # candidate is adopted only by strictly more coverage.
+    sets = np.concatenate([base[None], candidates])
+    counts = _covered_counts(sets, targets, inp.sr)
+    pick = int(np.argmax(counts))
+    if pick == 0 and use_dispersion and len(base) > 1:
+        # The incumbent and the candidates that tie it, first to last, in one
+        # batch so that every spread has the same arithmetic.
+        sets = sets[counts == counts[0]]
+        pick = int(np.argmax(mean_pairwise_observer_distance(sets)))
+    return _rows_to_points(sets[pick]) if pick else list(inp.current_destinations)
 
 
 def hc_control(
@@ -166,7 +147,7 @@ def hc_control(
 ) -> list[Point]:
     """Hill climbing on coverage alone; ties and regressions keep the
     current destinations."""
-    return _hc_family(inp, n_candidates, mag, use_dispersion=False)
+    return _hc_family(inp, inp.target_eval_points, n_candidates, mag, use_dispersion=False)
 
 
 def hc_h_control(
@@ -174,7 +155,7 @@ def hc_h_control(
 ) -> list[Point]:
     """Hill climbing with the dispersion tie-break: coverage first, then
     observer spread among coverage ties."""
-    return _hc_family(inp, n_candidates, mag, use_dispersion=True)
+    return _hc_family(inp, inp.target_eval_points, n_candidates, mag, use_dispersion=True)
 
 
 def hc_hp_control(
@@ -192,10 +173,8 @@ def hc_hp_control(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    predicted = tuple(predict_target(graph, s, horizon) for s in target_states)
-    return _hc_family(
-        replace(inp, target_eval_points=predicted), n_candidates, mag, use_dispersion=True
-    )
+    predicted = [predict_target(graph, s, horizon) for s in target_states]
+    return _hc_family(inp, predicted, n_candidates, mag, use_dispersion=True)
 
 
 def kmeans_control(inp: ControlInput) -> list[Point]:

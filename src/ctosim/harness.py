@@ -36,12 +36,7 @@ MAX_JOBS = 64
 # memory before doing any work; at this cap a full sweep holds 200 000.
 MAX_RUNS_PER_CELL = 10_000
 
-ALL_CONTROLLERS = (
-    ControllerKind.KMEANS,
-    ControllerKind.HC,
-    ControllerKind.HC_H,
-    ControllerKind.HC_HP,
-)
+ALL_CONTROLLERS = tuple(ControllerKind)
 
 
 class HarnessError(RuntimeError):
@@ -80,6 +75,12 @@ class SweepSpec:
             raise ValueError("at least one controller is required")
         if not all(isinstance(kind, ControllerKind) for kind in self.controllers):
             raise ValueError(f"controllers must be ControllerKind members, got {self.controllers!r}")
+        for name in ("values", "controllers"):
+            items = getattr(self, name)
+            if len(set(items)) != len(items):
+                raise ValueError(f"{name} must not repeat, got {items!r}")
+        if not isinstance(self.base, SimConfig):
+            raise ValueError(f"base must be a SimConfig, got {self.base!r}")
         for name in ("runs_per_cell", "base_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

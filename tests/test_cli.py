@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import ctosim.cli as cli
 import ctosim.harness as harness
+from ctosim.engine import SimConfig
 from ctosim.harness import SweepSpec
 
 
@@ -21,6 +22,10 @@ def run_main(args, capsys):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+
+def _stop():
+    raise RuntimeError("stopped")
 
 SIM_ARGS = [
     "simulate",
@@ -80,6 +85,13 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: need 3 to 100 graph vertices, got 101")
         assert err.count("\n") == 1
+
+    def test_no_options_build_the_default_config(self, capsys, monkeypatch):
+        # the defaults live in SimConfig alone; the parser restates none
+        configs = []
+        monkeypatch.setattr(cli, "run_simulation", lambda cfg: configs.append(cfg) or _stop())
+        assert run_main(["simulate"], capsys) == (1, "", "error: stopped\n")
+        assert configs == [SimConfig()]
 
     def test_unknown_algorithm_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
@@ -183,6 +195,14 @@ class TestSweep:
         assert lines == [str(tmp_path / "sr_runs.csv"), str(tmp_path / "sr_summary.csv")]
         assert (tmp_path / "sr_runs.csv").is_file()
         assert (tmp_path / "sr_summary.csv").is_file()
+
+    def test_only_vary_builds_the_default_spec(self, capsys, monkeypatch):
+        # the defaults live in SweepSpec and run_sweep alone, so jobs is
+        # passed only when it is given
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda spec, **kw: calls.append((spec, kw)) or _stop())
+        assert run_main(["sweep", "--vary", "sr"], capsys) == (1, "", "error: stopped\n")
+        assert calls == [(SweepSpec(varied="sr"), {})]
 
     def test_jobs_below_one_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "run_simulation", lambda cfg: pytest.fail("a run started"))

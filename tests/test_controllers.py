@@ -146,6 +146,20 @@ class TestControlInputValidation:
                 np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["observer_points", "current_destinations", "target_eval_points"])
+    def test_points_must_be_finite(self, field, bad):
+        # a nan target made kmeans return Point(nan, ...), and a nan
+        # destination came back from the climbers unchanged
+        points = {
+            "observer_points": tuple(_pts([(0, 0), (1, 1)])),
+            "current_destinations": tuple(_pts([(0, 0), (1, 1)])),
+            "target_eval_points": tuple(_pts([(5, 5), (6, 6)])),
+        }
+        points[field] = (points[field][0], Point(bad, 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            ControlInput(**points, sr=5.0, arena=ARENA, rng=np.random.default_rng(0))
+
 
 def test_controller_kind_parse():
     assert ControllerKind.parse("kmeans") is ControllerKind.KMEANS
@@ -215,72 +229,67 @@ class TestCoveredCounts:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_equals_the_dense_kernel(self, data):
-        width = data.draw(st.sampled_from([150.0, 1.0]) | st.floats(0.5, 400.0), "width")
-        height = data.draw(st.sampled_from([150.0, 3.0]) | st.floats(0.5, 400.0), "height")
-        arena = np.array([width, height])
-        diagonal = math.hypot(width, height)
-        mag = data.draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 60.0), "mag")
+        # Any sets, not only the climbers' draws: rows on the arena's edges,
+        # inside it and outside it, rows repeated across sets, and one set.
+        size = data.draw(st.sampled_from([150.0, 1.0]) | st.floats(0.5, 400.0), "size")
         sr = data.draw(
-            st.sampled_from([diagonal, 2.0 * diagonal]) | st.floats(0.01, 1.2 * diagonal), "sr"
+            st.sampled_from([size, 2.0 * size]) | st.floats(0.01, 1.2 * math.sqrt(2.0) * size), "sr"
         )
+        coordinate = st.sampled_from([0.0, size]) | st.floats(0.0, size) | st.floats(-size, 2.0 * size)
+        s, n = data.draw(st.integers(1, 6), "sets"), data.draw(st.integers(1, 5), "observers")
+        rows = data.draw(st.lists(coordinate, min_size=2 * s * n, max_size=2 * s * n))
+        sets = np.array(rows).reshape(s, n, 2)
+        for _ in range(data.draw(st.integers(0, 3), "repeats")):
+            i, j, k = (data.draw(st.integers(0, m - 1)) for m in (s, s, n))
+            sets[i, k] = sets[j, k]
+        lo, hi = sets.min(axis=0), sets.max(axis=0)
 
-        def coordinate(limit):
-            # the arena's edges (so corners too), inside it, and outside it
-            return st.sampled_from([0.0, limit]) | st.floats(0.0, limit) | st.floats(-limit, 2.0 * limit)
-
-        n = data.draw(st.integers(1, 5), "n")
-        base = np.array(
-            [[data.draw(coordinate(width)), data.draw(coordinate(height))] for _ in range(n)]
-        )
-        c = data.draw(st.integers(1, 6), "c")
-        unit = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
-        offsets = mag * np.array(data.draw(st.lists(unit, min_size=2 * c * n, max_size=2 * c * n)))
-        offsets = offsets.reshape(c, n, 2)
-        centres = np.clip(base, 0.0, arena)
         signs = st.sampled_from([-1.0, 1.0])
+        far = -10.0 * (sr + 3.0 * size)
         targets = []
-        for _ in range(data.draw(st.integers(0, 2), "on the reach")):
-            # on a diagonal through a centre, sr beyond a candidate pushed to
-            # that corner of its offset square: the widest reach that counts
-            i, k = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, n - 1))
-            corner = np.array([data.draw(signs), data.draw(signs)])
-            offsets[i, k] = mag * corner
-            targets.append(centres[k] + (mag + sr / math.sqrt(2.0)) * corner)
-        candidates = np.clip(base + offsets, 0.0, arena)
-
-        far = -10.0 * (sr + 2.0 * mag + diagonal)
-        for _ in range(data.draw(st.integers(0, 5), "m")):
-            kind = data.draw(st.sampled_from(["free", "sr", "far"]))
+        for _ in range(data.draw(st.integers(0, 6), "targets")):
+            kind = data.draw(st.sampled_from(["free", "row", "axis", "diagonal", "far"]))
+            i, k = data.draw(st.integers(0, s - 1)), data.draw(st.integers(0, n - 1))
+            axis, sign = data.draw(st.integers(0, 1)), data.draw(signs)
             if kind == "free":
-                targets.append([data.draw(coordinate(width)), data.draw(coordinate(height))])
-            elif kind == "sr":
-                # exactly sr from a (possibly clipped) candidate observer
-                i, k = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, n - 1))
-                t = candidates[i, k].copy()
-                t[data.draw(st.integers(0, 1))] += data.draw(signs) * sr
+                targets.append([data.draw(coordinate), data.draw(coordinate)])
+            elif kind == "row":
+                # exactly sr from one row, along an axis
+                t = sets[i, k].copy()
+                t[axis] += sign * sr
                 targets.append(t)
+            elif kind == "axis":
+                # sr beyond the box's side, level with one of its rows
+                t = sets[i, k].copy()
+                t[axis] = (hi if sign > 0 else lo)[k, axis] + sign * sr
+                targets.append(t)
+            elif kind == "diagonal":
+                # sr beyond a corner of the box, on its diagonal
+                corner = np.array([data.draw(signs), data.draw(signs)])
+                targets.append(np.where(corner > 0, hi[k], lo[k]) + corner * sr / math.sqrt(2.0))
             else:
                 targets.append([far, far])
         targets = np.array(targets, dtype=float).reshape(len(targets), 2)
 
-        got = _covered_counts(candidates, base, targets, sr, mag, arena)
-        assert np.array_equal(got, _dense_counts(candidates, targets, sr))
+        got = _covered_counts(sets, targets, sr)
+        assert np.array_equal(got, _dense_counts(sets, targets, sr))
 
     def test_target_on_the_reach_boundary_is_kept(self):
-        # the candidate at offset (-mag, -mag) sees the target at exactly sr
-        # as rounded, while the centre's rounded distance exceeds the rounded
-        # sr + mag·√2: the reach needs its rounding slack
+        # the second set's row sees the target at exactly sr: the differences
+        # 3 and 4 are exact, and 9 + 16 is 25. That row is the nearest corner
+        # of the box the two rows span, so the prune computes the same
+        # distance and must keep the pair by the kernel's own closed test.
         base = np.array([[62.42, 22.18]])
-        candidates = base - 1.6
-        targets = base - (1.6 + 7.3 / math.sqrt(2.0))
-        assert _dense_counts(candidates[None], targets, 7.3).tolist() == [1]
-        got = _covered_counts(candidates[None], base, targets, 7.3, 1.6, np.array(ARENA))
-        assert got.tolist() == [1]
+        sets = np.stack([base, base - 1.6])
+        targets = sets[1] - [3.0, 4.0]
+        assert _dense_counts(sets, targets, 5.0).tolist() == [0, 1]
+        assert _covered_counts(sets, targets, 5.0).tolist() == [0, 1]
 
     def test_destination_outside_the_arena_is_scored_exactly(self):
-        # clipping (-30 + offset, y) to x = 0 moves the observer about 30
-        # units, far more than mag: a reach of sr + mag·√2 around the raw
-        # destination misses the target, and the climber would keep (-30, 75)
+        # clipping (-30 + offset, y) to x = 0 moves each candidate about 30
+        # units, far more than mag; the box spans the incumbent and the
+        # clipped candidates alike, so the candidates that see the target
+        # are scored and one is adopted
         dests, targets = [(-30.0, 75.0)], [(2.0, 75.0)]
         out = hc_control(_mk_input(dests, targets, 3.0, seed=0), 50, mag=5.0)
         want = _expected_hc(dests, targets, 3.0, 0, 50, 5.0, use_dispersion=False)

@@ -80,6 +80,23 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="ControllerKind"):
             SweepSpec(varied="sr", controllers=controllers)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"values": (5.0, 5.0)}, "values must not repeat"),
+            ({"values": (5.0, 25.0, 5)}, "values must not repeat"),
+            ({"controllers": (ControllerKind.HC, ControllerKind.HC)}, "controllers must not repeat"),
+            ({"base": "x"}, "base must be a SimConfig"),
+            ({"base": None}, "base must be a SimConfig"),
+        ],
+    )
+    def test_rejects_repeats_and_a_base_that_is_not_a_config(self, overrides, message):
+        # a repeated value or controller ran its cells twice and wrote two
+        # identical summary rows; base="x" failed only inside run_sweep,
+        # with a bare TypeError from dataclasses.replace
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(varied="sr", **overrides)
+
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs_per_cell"):
             SweepSpec(varied="sr", runs_per_cell=0)
