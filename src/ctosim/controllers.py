@@ -26,10 +26,11 @@ import numpy as np
 
 from .geometry import Point
 from .metrics import mean_pairwise_observer_distance, points_array, squared_distances
-from .world import PlanarGraph, TargetState, predict_target
+from .world import ARENA, PlanarGraph, TargetState, predict_target
 
 N_CANDIDATES = 100
-DEFAULT_PERTURB_MAG = 10.0
+#: Largest shift per coordinate of a hill-climb candidate's destinations.
+PERTURB_MAG = 10.0
 KMEANS_MAX_ITERS = 50
 KMEANS_TOL = 1e-6
 
@@ -57,7 +58,6 @@ class ControlInput:
     current_destinations: tuple[Point, ...]
     target_eval_points: tuple[tuple[float, float], ...]
     sr: float
-    arena: tuple[float, float]
     rng: np.random.Generator
 
     def __post_init__(self):
@@ -67,8 +67,6 @@ class ControlInput:
             raise ValueError("at least one observer is required")
         if not self.sr > 0.0:
             raise ValueError(f"sensor range must be positive, got {self.sr}")
-        if len(self.arena) != 2 or not all(0.0 < size < math.inf for size in self.arena):
-            raise ValueError(f"arena must be two finite, positive sizes, got {self.arena}")
         coords = chain(*self.observer_points, *self.current_destinations, *self.target_eval_points)
         if not all(map(math.isfinite, coords)):
             raise ValueError("observer points, destinations and target points must be finite")
@@ -115,20 +113,18 @@ def _covered_counts(sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndar
 
 
 def _hc_family(
-    inp: ControlInput, eval_points: Sequence, n_candidates: int, mag: float, use_dispersion: bool
+    inp: ControlInput, eval_points: Sequence, n_candidates: int, use_dispersion: bool
 ) -> list[Point]:
     if n_candidates < 1:
         raise ValueError(f"need at least 1 candidate, got {n_candidates}")
-    if not 0.0 <= 2.0 * mag < math.inf:  # the draw spans 2·mag
-        raise ValueError(f"perturbation magnitude mag must be >= 0 with 2·mag finite, got {mag}")
     base = points_array(inp.current_destinations)
     targets = points_array(eval_points)
 
-    # clip(base + offsets, 0, arena), in the offsets' buffer
-    candidates = inp.rng.uniform(-mag, mag, size=(n_candidates,) + base.shape)
+    # clip(base + offsets, 0, ARENA), in the offsets' buffer
+    candidates = inp.rng.uniform(-PERTURB_MAG, PERTURB_MAG, size=(n_candidates,) + base.shape)
     candidates += base
     np.maximum(candidates, 0.0, out=candidates)
-    np.minimum(candidates, inp.arena, out=candidates)
+    np.minimum(candidates, ARENA, out=candidates)
     # The incumbent first: argmax returns the first of equal counts, so a
     # candidate is adopted only by strictly more coverage.
     sets = np.concatenate([base[None], candidates])
@@ -142,20 +138,16 @@ def _hc_family(
     return _rows_to_points(sets[pick]) if pick else list(inp.current_destinations)
 
 
-def hc_control(
-    inp: ControlInput, n_candidates: int = N_CANDIDATES, mag: float = DEFAULT_PERTURB_MAG
-) -> list[Point]:
+def hc_control(inp: ControlInput, n_candidates: int) -> list[Point]:
     """Hill climbing on coverage alone; ties and regressions keep the
     current destinations."""
-    return _hc_family(inp, inp.target_eval_points, n_candidates, mag, use_dispersion=False)
+    return _hc_family(inp, inp.target_eval_points, n_candidates, use_dispersion=False)
 
 
-def hc_h_control(
-    inp: ControlInput, n_candidates: int = N_CANDIDATES, mag: float = DEFAULT_PERTURB_MAG
-) -> list[Point]:
+def hc_h_control(inp: ControlInput, n_candidates: int) -> list[Point]:
     """Hill climbing with the dispersion tie-break: coverage first, then
     observer spread among coverage ties."""
-    return _hc_family(inp, inp.target_eval_points, n_candidates, mag, use_dispersion=True)
+    return _hc_family(inp, inp.target_eval_points, n_candidates, use_dispersion=True)
 
 
 def hc_hp_control(
@@ -164,7 +156,6 @@ def hc_hp_control(
     horizon: int,
     graph: PlanarGraph,
     target_states: Sequence[TargetState],
-    mag: float = DEFAULT_PERTURB_MAG,
 ) -> list[Point]:
     """hc-h scored against target positions projected ``horizon`` steps ahead.
 
@@ -174,7 +165,7 @@ def hc_hp_control(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     predicted = [predict_target(graph, s, horizon) for s in target_states]
-    return _hc_family(inp, predicted, n_candidates, mag, use_dispersion=True)
+    return _hc_family(inp, predicted, n_candidates, use_dispersion=True)
 
 
 def kmeans_control(inp: ControlInput) -> list[Point]:

@@ -28,6 +28,7 @@ from .controllers import (
 from .geometry import Point
 from .metrics import finalize_rho, observation_matrix
 from .world import (
+    ARENA,
     MAX_VERTICES,
     ObserverState,
     PlanarGraph,
@@ -76,8 +77,8 @@ class SimConfig:
     24 targets on a 40-vertex graph, with the median parameter settings.
     The arena's size is a constant of the model, not a setting."""
 
-    width: ClassVar[float] = 150.0
-    height: ClassVar[float] = 150.0
+    width: ClassVar[float] = ARENA[0]
+    height: ClassVar[float] = ARENA[1]
     steps: int = 1500
     n_observers: int = 12
     n_targets: int = 24
@@ -111,10 +112,13 @@ class SimConfig:
         diagonal = math.hypot(self.width, self.height)
         if not 0.0 < self.rv <= diagonal:
             raise ValueError(f"target speed must be in (0, {diagonal:g}], the arena diagonal; got {self.rv}")
-        if not 0.0 < self.ur <= 1.0:
-            raise ValueError(f"update rate must be in (0, 1], got {self.ur}")
+        update_period(self.ur)
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        try:  # hc-hp scales the target speed by the horizon in floats
+            float(self.horizon)
+        except OverflowError:
+            raise ValueError("horizon is too large to convert to a float") from None
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.controller, ControllerKind):
@@ -133,10 +137,17 @@ class RunResult:
 
 
 def update_period(ur: float) -> int:
-    """Steps between controller invocations for an update rate in (0, 1]."""
+    """Steps between controller invocations for an update rate in (0, 1].
+
+    Raises ValueError for a rate outside (0, 1] or one so small that 1/ur
+    overflows to infinity.
+    """
     if not 0.0 < ur <= 1.0:
         raise ValueError(f"update rate must be in (0, 1], got {ur}")
-    return max(1, int(round(1.0 / ur)))
+    period = 1.0 / ur
+    if not math.isfinite(period):
+        raise ValueError(f"update rate {ur} is too small: 1/ur is not finite")
+    return max(1, int(round(period)))
 
 
 def _next_destinations(
@@ -152,7 +163,6 @@ def _next_destinations(
         current_destinations=tuple(o.destination for o in observers),
         target_eval_points=target_pts,
         sr=cfg.sr,
-        arena=(cfg.width, cfg.height),
         rng=rng,
     )
     if cfg.controller is ControllerKind.KMEANS:
@@ -181,11 +191,9 @@ def run_simulation(
     start = time.perf_counter()
 
     streams = derive_streams(cfg.seed)
-    graph = generate_random_graph(cfg.n_vertices, cfg.width, cfg.height, streams.graph)
+    graph = generate_random_graph(cfg.n_vertices, streams.graph)
     targets = [random_target_state(graph, cfg.rv, streams.targets) for _ in range(cfg.n_targets)]
-    coords = streams.observers.uniform(
-        0.0, np.asarray([cfg.width, cfg.height]), size=(cfg.n_observers, 2)
-    )
+    coords = streams.observers.uniform(0.0, ARENA, size=(cfg.n_observers, 2))
     observers = [ObserverState(Point(float(x), float(y)), Point(float(x), float(y))) for x, y in coords]
 
     target_pts = tuple([target_point(graph, s) for s in targets])

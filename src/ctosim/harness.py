@@ -67,7 +67,8 @@ class SweepSpec:
         if not self.values:
             object.__setattr__(self, "values", allowed)
         for v in self.values:
-            if v not in allowed:
+            # SimConfig's number rule up front: True == 1.0 is a standard value
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or v not in allowed:
                 raise ValueError(
                     f"{self.varied}={v} is not a standard sweep value {allowed}"
                 )
@@ -292,8 +293,9 @@ if __name__ == "__main__":
 '''
 
 
-def emit_plot_script(summary_csv: Path | str, out_path: Path | str | None = None) -> Path:
-    """Write a standalone script that charts a summary CSV; returns its path.
+def emit_plot_script(summary_csv: Path | str) -> Path:
+    """Write a standalone script that charts a summary CSV to
+    ``<stem>_plot.py`` beside it; returns the script's path.
 
     The script depends only on matplotlib and the CSV it was generated for;
     regenerating from the same CSV yields identical bytes.
@@ -301,6 +303,6 @@ def emit_plot_script(summary_csv: Path | str, out_path: Path | str | None = None
     summary = Path(summary_csv)
     if not summary.is_file():
         raise FileNotFoundError(f"summary CSV not found: {summary}")
-    out = Path(out_path) if out_path is not None else summary.with_name(summary.stem + "_plot.py")
+    out = summary.with_name(summary.stem + "_plot.py")
     out.write_text(_PLOT_TEMPLATE.format(csv_path=str(summary)), encoding="utf-8")
     return out

@@ -19,6 +19,12 @@ from .geometry import Point, distance, delaunay_triangulate, triangulation_edges
 #: Most graph vertices a world may have: triangulation is O(n⁴) work.
 MAX_VERTICES = 100
 
+#: The arena's width and height, a constant of the model.
+ARENA = (150.0, 150.0)
+
+#: Fresh vertex draws a graph gets before generation gives up.
+GRAPH_ATTEMPTS = 32
+
 
 class GraphEdge(NamedTuple):
     """Undirected edge between vertex indices u and v with cached length."""
@@ -109,37 +115,28 @@ def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]
     return all(seen)
 
 
-def generate_random_graph(
-    n_vertices: int,
-    width: float,
-    height: float,
-    rng: np.random.Generator,
-    max_attempts: int = 32,
-) -> PlanarGraph:
-    """Delaunay triangulation of points drawn uniformly over the arena.
+def generate_random_graph(n_vertices: int, rng: np.random.Generator) -> PlanarGraph:
+    """Delaunay triangulation of points drawn uniformly over the ARENA.
 
     Draws n_vertices points, triangulates, and validates the result
     (connectivity, minimum degree). A draw that cannot be triangulated
     uniquely (points on one circle or one line, within rounding error) or
     fails validation is replaced by a fresh draw of the full set. Raises
-    GraphGenerationError after max_attempts attempts, ValueError for invalid
-    arguments, including more than MAX_VERTICES vertices.
+    GraphGenerationError after GRAPH_ATTEMPTS attempts, ValueError for fewer
+    than 3 or more than MAX_VERTICES vertices.
     """
     if not 3 <= n_vertices <= MAX_VERTICES:
         raise ValueError(f"need 3 to {MAX_VERTICES} vertices, got {n_vertices}")
-    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
-        raise ValueError(f"arena dimensions must be finite and positive, got {width} x {height}")
 
-    high = np.asarray([width, height], dtype=float)
-    for _ in range(max_attempts):
-        points = [Point(float(x), float(y)) for x, y in rng.uniform(0.0, high, size=(n_vertices, 2))]
+    for _ in range(GRAPH_ATTEMPTS):
+        points = [Point(float(x), float(y)) for x, y in rng.uniform(0.0, ARENA, size=(n_vertices, 2))]
         try:  # TriangulationError is a ValueError
             graph = PlanarGraph.from_index_pairs(points, triangulation_edges(delaunay_triangulate(points)))
         except ValueError:
             continue
         if _is_connected(graph.adjacency, graph.edges):
             return graph
-    raise GraphGenerationError(f"no valid graph after {max_attempts} attempts")
+    raise GraphGenerationError(f"no valid graph after {GRAPH_ATTEMPTS} attempts")
 
 
 def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generator) -> TargetState:

@@ -37,8 +37,6 @@ from ctosim.world import (
 )
 from oracles import delaunay_violations, observed_count_loops, segments_cross
 
-ARENA = (150.0, 150.0)
-
 
 # ---------------------------------------------------------------------------
 # shared benchmark grid (criteria 7-10)
@@ -135,7 +133,7 @@ def test_criterion_02_coverage_oracle(criterion):
 
 
 def test_criterion_03_kinematics(criterion):
-    graph = generate_random_graph(40, *ARENA, np.random.default_rng(2))
+    graph = generate_random_graph(40, np.random.default_rng(2))
     rng = np.random.default_rng(3)
 
     bad_state = 0
@@ -185,7 +183,7 @@ def test_criterion_03_kinematics(criterion):
 
 def _controller_instances(n_instances: int, seed0: int):
     """Random control problems; graphs are reused to keep setup cheap."""
-    graphs = [generate_random_graph(12, *ARENA, np.random.default_rng(g)) for g in range(4)]
+    graphs = [generate_random_graph(12, np.random.default_rng(g)) for g in range(4)]
     rng = np.random.default_rng(seed0)
     for i in range(n_instances):
         g = graphs[i % len(graphs)]
@@ -206,7 +204,6 @@ def _mk_inp(dests, positions, pts, sr, seed):
         current_destinations=tuple(Point(*p) for p in dests),
         target_eval_points=tuple(pts),
         sr=sr,
-        arena=ARENA,
         rng=np.random.default_rng(seed),
     )
 

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from ctosim import controllers
 from ctosim.controllers import (
+    PERTURB_MAG,
     ControlInput,
     ControllerKind,
     _covered_counts,
@@ -27,14 +29,13 @@ from ctosim.controllers import (
 from ctosim.geometry import Point
 from ctosim.metrics import mean_pairwise_observer_distance, observation_matrix
 from ctosim.world import (
+    ARENA,
     generate_random_graph,
     predict_target,
     random_target_state,
     target_point,
 )
 from oracles import observed_count_loops
-
-ARENA = (150.0, 150.0)
 
 
 def _pts(rows):
@@ -47,7 +48,6 @@ def _mk_input(dests, targets, sr, seed, positions=None):
         current_destinations=tuple(_pts(dests)),
         target_eval_points=tuple(_pts(targets)),
         sr=sr,
-        arena=ARENA,
         rng=np.random.default_rng(seed),
     )
 
@@ -76,17 +76,17 @@ def _first_argmax(values) -> int:
     return best
 
 
-def _replay_candidates(dests, seed, n_candidates, mag):
+def _replay_candidates(dests, seed, n_candidates):
     """The climber's candidate draw, replayed on a cloned generator."""
     rng = np.random.default_rng(seed)
     base = np.asarray(dests, dtype=float)
-    offsets = rng.uniform(-mag, mag, size=(n_candidates,) + base.shape)
+    offsets = rng.uniform(-PERTURB_MAG, PERTURB_MAG, size=(n_candidates,) + base.shape)
     return np.clip(base + offsets, 0.0, np.asarray(ARENA))
 
 
-def _expected_hc(dests, targets, sr, seed, n_candidates, mag, use_dispersion):
+def _expected_hc(dests, targets, sr, seed, n_candidates, use_dispersion):
     """Re-derive the hill-climb outcome with loops and a cloned generator."""
-    cands = _replay_candidates(dests, seed, n_candidates, mag)
+    cands = _replay_candidates(dests, seed, n_candidates)
     cur = observed_count_loops(dests, targets, sr)
     counts = [observed_count_loops(c.tolist(), targets, sr) for c in cands]
     best = _first_argmax(counts)
@@ -116,13 +116,12 @@ class TestControlInputValidation:
                 current_destinations=tuple(_pts([(0, 0)])),
                 target_eval_points=tuple(_pts([(5, 5)])),
                 sr=5.0,
-                arena=ARENA,
                 rng=np.random.default_rng(0),
             )
 
     def test_needs_an_observer(self):
         with pytest.raises(ValueError, match="at least one observer"):
-            ControlInput((), (), tuple(_pts([(5, 5)])), 5.0, ARENA, np.random.default_rng(0))
+            ControlInput((), (), tuple(_pts([(5, 5)])), 5.0, np.random.default_rng(0))
 
     def test_sensor_range_positive(self):
         with pytest.raises(ValueError, match="sensor range"):
@@ -133,18 +132,6 @@ class TestControlInputValidation:
         # because no target ever counted
         with pytest.raises(ValueError, match="sensor range"):
             _mk_input([(0, 0)], [(5, 5)], math.nan, 0)
-
-    @pytest.mark.parametrize(
-        "arena", [(-5.0, 150.0), (0.0, 150.0), (math.nan, 150.0), (150.0, math.inf), (150.0,)]
-    )
-    def test_arena_must_be_two_finite_positive_sizes(self, arena):
-        # (-5, 150) let the climbers clamp destinations to x = -5, and
-        # (nan, 150) made them keep the current destinations silently
-        with pytest.raises(ValueError, match="arena"):
-            ControlInput(
-                tuple(_pts([(0, 0)])), tuple(_pts([(0, 0)])), tuple(_pts([(5, 5)])), 5.0, arena,
-                np.random.default_rng(0),
-            )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["observer_points", "current_destinations", "target_eval_points"])
@@ -158,7 +145,7 @@ class TestControlInputValidation:
         }
         points[field] = (points[field][0], Point(bad, 1.0))
         with pytest.raises(ValueError, match="must be finite"):
-            ControlInput(**points, sr=5.0, arena=ARENA, rng=np.random.default_rng(0))
+            ControlInput(**points, sr=5.0, rng=np.random.default_rng(0))
 
 
 def test_controller_kind_parse():
@@ -189,7 +176,8 @@ class TestEvaluateCandidate:
 
 class TestPerturb:
     """The hill climbers' candidates: each coordinate of the current
-    destinations nudged by U[-mag, mag], then clamped to the arena."""
+    destinations nudged by U[-PERTURB_MAG, PERTURB_MAG], then clamped to the
+    arena."""
 
     def test_stays_within_arena_and_magnitude(self):
         # no candidate can see the far target, so hc-h adopts the most
@@ -197,7 +185,7 @@ class TestPerturb:
         base = [(0.0, 0.0), (149.0, 149.0), (75.0, 75.0)]
         adopted = 0
         for seed in range(100):
-            out = hc_h_control(_mk_input(base, [(0.0, 150.0)], 1.0, seed), 5, mag=10.0)
+            out = hc_h_control(_mk_input(base, [(0.0, 150.0)], 1.0, seed), 5)
             adopted += out != _pts(base)
             for (bx, by), p in zip(base, out):
                 assert 0.0 <= p.x <= 150.0 and 0.0 <= p.y <= 150.0
@@ -286,23 +274,15 @@ class TestCoveredCounts:
         assert _covered_counts(sets, targets, 5.0).tolist() == [0, 1]
 
     def test_destination_outside_the_arena_is_scored_exactly(self):
-        # clipping (-30 + offset, y) to x = 0 moves each candidate about 30
-        # units, far more than mag; the box spans the incumbent and the
+        # clipping (-30 + offset, y) to x = 0 moves each candidate 20 to 40
+        # units, more than PERTURB_MAG; the box spans the incumbent and the
         # clipped candidates alike, so the candidates that see the target
         # are scored and one is adopted
         dests, targets = [(-30.0, 75.0)], [(2.0, 75.0)]
-        out = hc_control(_mk_input(dests, targets, 3.0, seed=0), 50, mag=5.0)
-        want = _expected_hc(dests, targets, 3.0, 0, 50, 5.0, use_dispersion=False)
+        out = hc_control(_mk_input(dests, targets, 3.0, seed=0), 50)
+        want = _expected_hc(dests, targets, 3.0, 0, 50, use_dispersion=False)
         assert _as_rows(out) == want
         assert out[0].x == 0.0 and out[0] != Point(-30.0, 75.0)
-
-    @pytest.mark.parametrize("mag", [-1.0, math.nan, math.inf, -math.inf, 1e308])
-    def test_bad_magnitude_rejected_before_any_draw(self, mag):
-        inp = _mk_input([(10.0, 10.0)], [(12.0, 10.0)], 5.0, seed=0)
-        for control in (hc_control, hc_h_control):
-            with pytest.raises(ValueError, match="mag"):
-                control(inp, 10, mag=mag)
-        assert inp.rng.random() == np.random.default_rng(0).random()
 
 
 class TestHillClimb:
@@ -332,7 +312,7 @@ class TestHillClimb:
         targets = rng.uniform(0.0, 150.0, size=(m, 2)).tolist()
         sr = float(rng.uniform(3.0, 25.0))
         out = hc_control(_mk_input(dests, targets, sr, seed=seed), 60)
-        want = _expected_hc(dests, targets, sr, seed, 60, 10.0, use_dispersion=False)
+        want = _expected_hc(dests, targets, sr, seed, 60, use_dispersion=False)
         assert np.allclose(_as_rows(out), want, atol=1e-12)
 
 
@@ -346,7 +326,7 @@ class TestHillClimbWithDispersion:
         targets = rng.uniform(0.0, 150.0, size=(m, 2)).tolist()
         sr = float(rng.uniform(3.0, 25.0))
         out = hc_h_control(_mk_input(dests, targets, sr, seed=seed), 60)
-        want = _expected_hc(dests, targets, sr, seed, 60, 10.0, use_dispersion=True)
+        want = _expected_hc(dests, targets, sr, seed, 60, use_dispersion=True)
         assert np.allclose(_as_rows(out), want, atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -361,7 +341,7 @@ class TestHillClimbWithDispersion:
         seed = data.draw(st.integers(0, 2**32 - 1), "seed")
         coordinate = st.floats(0.0, 150.0)
         dests = [(data.draw(coordinate), data.draw(coordinate)) for _ in range(n)]
-        cands = _replay_candidates(dests, seed, n_candidates, 10.0)
+        cands = _replay_candidates(dests, seed, n_candidates)
         sr = 1e-3
         if ties == "every":
             # out of everyone's reach: every count is 0, the incumbent's too
@@ -385,8 +365,8 @@ class TestHillClimbWithDispersion:
             assume(n_tied == {"every": n_candidates, "one": 1, "none": 0}[ties])
         event(f"{n_tied if n_tied < 2 else 'several'} tied, improved: {max(counts) > current}")
 
-        out = hc_h_control(_mk_input(dests, targets, sr, seed), n_candidates, mag=10.0)
-        assert _as_rows(out) == _expected_hc(dests, targets, sr, seed, n_candidates, 10.0, True)
+        out = hc_h_control(_mk_input(dests, targets, sr, seed), n_candidates)
+        assert _as_rows(out) == _expected_hc(dests, targets, sr, seed, n_candidates, True)
 
     def test_spreads_out_when_coverage_is_stuck(self):
         # all candidates tie at zero coverage; the tie-break should adopt a
@@ -405,16 +385,17 @@ class TestHillClimbWithDispersion:
         out = hc_h_control(inp, 100)
         assert out == _pts(dests)
 
-    def test_candidates_equal_to_the_incumbent_keep_it(self):
-        # with mag=0 every candidate is the incumbent itself, so it ties in
-        # coverage and in spread; a tie keeps the current destinations, the
-        # very objects and not equal copies
+    def test_candidates_equal_to_the_incumbent_keep_it(self, monkeypatch):
+        # with PERTURB_MAG 0 every candidate is the incumbent itself, so it
+        # ties in coverage and in spread; a tie keeps the current
+        # destinations, the very objects and not equal copies
         g, states = TestHillClimbWithPrediction._world(7)
         dests = [(20.0, 30.0), (75.0, 75.0), (140.0, 10.0)]
         cur = [target_point(g, s) for s in states]
+        monkeypatch.setattr(controllers, "PERTURB_MAG", 0.0)
         for control, extra in ((hc_h_control, ()), (hc_hp_control, (10, g, states))):
             inp = _mk_input(dests, cur, 15.0, seed=5)
-            out = control(inp, 100, *extra, mag=0.0)
+            out = control(inp, 100, *extra)
             assert len(out) == len(dests)
             assert all(a is b for a, b in zip(out, inp.current_destinations))
 
@@ -436,7 +417,7 @@ class TestHillClimbWithDispersion:
 class TestHillClimbWithPrediction:
     @staticmethod
     def _world(seed):
-        g = generate_random_graph(12, 150.0, 150.0, np.random.default_rng(seed))
+        g = generate_random_graph(12, np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 1)
         states = tuple(random_target_state(g, 0.5, rng) for _ in range(8))
         return g, states

@@ -18,6 +18,7 @@ from ctosim.engine import (
     update_period,
 )
 from ctosim.geometry import Point
+from ctosim.world import ARENA
 
 # a deliberately small world so each run takes milliseconds
 SMALL = dict(steps=150, n_vertices=12, n_observers=4, n_targets=6)
@@ -36,6 +37,10 @@ class TestSimConfigValidation:
         # constants of the model, not settings
         assert [f.name for f in dataclasses.fields(SimConfig)] == [
             "steps", "n_observers", "n_targets", "n_vertices", "sr", "rv", "ur", "controller", "horizon", "seed"
+        ]
+        assert ARENA == (SimConfig.width, SimConfig.height)
+        assert [f.name for f in dataclasses.fields(controllers.ControlInput)] == [
+            "observer_points", "current_destinations", "target_eval_points", "sr", "rng"
         ]
 
     @pytest.mark.parametrize(
@@ -74,6 +79,9 @@ class TestSimConfigValidation:
             dict(n_targets=1001),
             dict(controller="kmeans"),
             dict(controller=None),
+            # both passed here, then raised OverflowError in the run
+            dict(ur=5e-324),
+            dict(controller=ControllerKind.HC_HP, horizon=10**400),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,13 @@ class TestSweepSpec:
     def test_rejects_nonstandard_value(self):
         with pytest.raises(ValueError, match="not a standard sweep value"):
             SweepSpec(varied="sr", values=(7.5,))
+
+    @pytest.mark.parametrize("values", [(True,), (0.5, True), (Decimal("0.5"),)])
+    def test_rejects_values_that_are_not_config_numbers(self, values):
+        # True == 1.0 and Decimal("0.5") == 0.5 matched standard values, and
+        # run_sweep then failed on SimConfig's bare ValueError
+        with pytest.raises(ValueError, match="not a standard sweep value"):
+            SweepSpec(varied="ur", values=values)
 
     def test_rejects_empty_controllers(self):
         with pytest.raises(ValueError, match="controller"):
@@ -316,10 +324,9 @@ class TestEmitPlotScript:
         assert script == summary_csv.with_name("sr_summary_plot.py")
         assert "sr_summary.csv" in script.read_text()
 
-    def test_regeneration_is_byte_identical(self, summary_csv, tmp_path):
-        a = emit_plot_script(summary_csv, tmp_path / "a.py")
-        b = emit_plot_script(summary_csv, tmp_path / "b.py")
-        assert a.read_bytes() == b.read_bytes()
+    def test_regeneration_is_byte_identical(self, summary_csv):
+        first = emit_plot_script(summary_csv).read_bytes()
+        assert emit_plot_script(summary_csv).read_bytes() == first
 
     def test_missing_csv_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

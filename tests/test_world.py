@@ -13,6 +13,7 @@ from scipy import stats
 
 from ctosim.geometry import Point, distance
 from ctosim.world import (
+    GRAPH_ATTEMPTS,
     GraphGenerationError,
     ObserverState,
     PlanarGraph,
@@ -79,14 +80,14 @@ class TestPlanarGraphValidation:
 
 class TestGenerateRandomGraph:
     def test_shape_and_bounds(self):
-        g = generate_random_graph(40, 150.0, 150.0, np.random.default_rng(0))
+        g = generate_random_graph(40, np.random.default_rng(0))
         assert len(g.vertices) == 40
         assert all(0.0 <= p.x <= 150.0 and 0.0 <= p.y <= 150.0 for p in g.vertices)
         assert all(len(inc) >= 2 for inc in g.adjacency)
         assert all(e.length == distance(g.vertices[e.u], g.vertices[e.v]) for e in g.edges)
 
     def test_connected(self):
-        g = generate_random_graph(25, 150.0, 150.0, np.random.default_rng(1))
+        g = generate_random_graph(25, np.random.default_rng(1))
         seen = {0}
         frontier = [0]
         while frontier:
@@ -100,7 +101,7 @@ class TestGenerateRandomGraph:
         assert seen == set(range(25))
 
     def test_edges_do_not_cross(self):
-        g = generate_random_graph(30, 150.0, 150.0, np.random.default_rng(2))
+        g = generate_random_graph(30, np.random.default_rng(2))
         segs = [
             ((g.vertices[e.u].x, g.vertices[e.u].y), (g.vertices[e.v].x, g.vertices[e.v].y))
             for e in g.edges
@@ -110,35 +111,30 @@ class TestGenerateRandomGraph:
                 assert not segments_cross(*segs[i], *segs[j])
 
     def test_deterministic_for_fixed_seed(self):
-        a = generate_random_graph(20, 150.0, 150.0, np.random.default_rng(42))
-        b = generate_random_graph(20, 150.0, 150.0, np.random.default_rng(42))
+        a = generate_random_graph(20, np.random.default_rng(42))
+        b = generate_random_graph(20, np.random.default_rng(42))
         assert a == b
 
     def test_argument_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            generate_random_graph(2, 150.0, 150.0, rng)
+            generate_random_graph(2, rng)
         with pytest.raises(ValueError, match="3 to 100 vertices"):
-            generate_random_graph(101, 150.0, 150.0, rng)
-        with pytest.raises(ValueError):
-            generate_random_graph(10, -1.0, 150.0, rng)
-
-    @pytest.mark.parametrize(
-        "width, height", [(math.inf, 150.0), (150.0, math.inf), (math.nan, 150.0), (150.0, math.nan)]
-    )
-    def test_arena_must_be_finite(self, width, height):
-        # numpy's own error for an infinite range was an OverflowError
-        with pytest.raises(ValueError, match="finite and positive"):
-            generate_random_graph(10, width, height, np.random.default_rng(0))
+            generate_random_graph(101, rng)
 
     def test_gives_up_after_max_attempts(self):
         class CollinearRng:
             # every draw lands on one line, so triangulation keeps failing
+            draws = 0
+
             def uniform(self, low, high, size=None):
+                self.draws += 1
                 return np.zeros(size if size is not None else 2)
 
+        rng = CollinearRng()
         with pytest.raises(GraphGenerationError):
-            generate_random_graph(5, 150.0, 150.0, CollinearRng(), max_attempts=4)
+            generate_random_graph(5, rng)
+        assert rng.draws == GRAPH_ATTEMPTS
 
 
 class TestRandomTargetState:
@@ -238,7 +234,7 @@ class TestStepTarget:
             assert distance(before, target_point(g, s)) <= s.speed + 1e-9
 
     def test_displacement_never_exceeds_speed(self):
-        g = generate_random_graph(15, 150.0, 150.0, np.random.default_rng(4))
+        g = generate_random_graph(15, np.random.default_rng(4))
         rng = np.random.default_rng(5)
         s = random_target_state(g, 0.9, rng)
         for _ in range(2000):
@@ -289,7 +285,7 @@ class TestStepObserver:
 
 class TestPredictTarget:
     def test_horizon_zero_matches_current_position(self):
-        g = generate_random_graph(12, 150.0, 150.0, np.random.default_rng(7))
+        g = generate_random_graph(12, np.random.default_rng(7))
         rng = np.random.default_rng(8)
         for _ in range(100):
             s = random_target_state(g, 0.5, rng)
@@ -311,7 +307,7 @@ class TestPredictTarget:
 
 @lru_cache(maxsize=1)
 def _property_graph() -> PlanarGraph:
-    return generate_random_graph(15, 150.0, 150.0, np.random.default_rng(100))
+    return generate_random_graph(15, np.random.default_rng(100))
 
 
 @settings(max_examples=150, deadline=None)
