@@ -2,8 +2,10 @@
 
 A run is fully determined by its SimConfig. The seed is split into four
 independent substreams (graph layout, target placement and motion, observer
-placement, controller randomness) so that, for a fixed seed, the target
-trajectories are identical no matter which controller is being exercised.
+placement, controller randomness) so that, for a fixed seed, the graph and
+the target trajectories are identical no matter which controller is being
+exercised. The graph's stream is drawn inside generate_random_graph, which
+builds each seed's graph once and shares it between runs.
 """
 
 from __future__ import annotations
@@ -46,26 +48,26 @@ MAX_AGENTS = 1000
 
 
 class SeedStreams(NamedTuple):
-    """The four independent random streams derived from one run seed."""
+    """Three of the four independent random streams derived from one run
+    seed; the graph's stream is drawn by generate_random_graph."""
 
-    graph: np.random.Generator
     targets: np.random.Generator
     observers: np.random.Generator
     controller: np.random.Generator
 
 
 def derive_streams(seed: int) -> SeedStreams:
-    """Split a run seed into the four per-concern generators.
+    """Split a run seed into the per-run generators.
 
     Each stream is spawned with a fixed key, so drawing from one stream never
-    perturbs the others: two runs with the same seed see identical graphs and
-    target trajectories even if their controllers consume different amounts
-    of randomness.
+    perturbs the others: two runs with the same seed see identical target
+    trajectories even if their controllers consume different amounts of
+    randomness. Key 0 is the graph's stream, spawned by generate_random_graph.
     """
     return SeedStreams(
         *(
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
-            for key in range(4)
+            for key in (1, 2, 3)
         )
     )
 
@@ -93,7 +95,11 @@ class SimConfig:
     def __post_init__(self):
         for name in ("sr", "rv", "ur"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            try:  # math.isfinite raises OverflowError for an int beyond float range
+                finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("steps", "n_observers", "n_targets", "n_vertices", "horizon", "seed"):
             value = getattr(self, name)
@@ -191,7 +197,7 @@ def run_simulation(
     start = time.perf_counter()
 
     streams = derive_streams(cfg.seed)
-    graph = generate_random_graph(cfg.n_vertices, streams.graph)
+    graph = generate_random_graph(cfg.n_vertices, cfg.seed)
     targets = [random_target_state(graph, cfg.rv, streams.targets) for _ in range(cfg.n_targets)]
     coords = streams.observers.uniform(0.0, ARENA, size=(cfg.n_observers, 2))
     observers = [ObserverState(Point(float(x), float(y)), Point(float(x), float(y))) for x, y in coords]

@@ -7,7 +7,9 @@ from the generator alone.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -24,6 +26,11 @@ ARENA = (150.0, 150.0)
 
 #: Fresh vertex draws a graph gets before generation gives up.
 GRAPH_ATTEMPTS = 32
+
+#: Graphs kept for reuse by later runs with the same seed: the 20 seeds of
+#: a sweep cell fit, at about 20 KB a graph at 40 vertices and 52 KB at
+#: MAX_VERTICES.
+GRAPH_MEMO = 64
 
 
 class GraphEdge(NamedTuple):
@@ -115,19 +122,38 @@ def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]
     return all(seen)
 
 
-def generate_random_graph(n_vertices: int, rng: np.random.Generator) -> PlanarGraph:
+def generate_random_graph(n_vertices: int, seed: int) -> PlanarGraph:
     """Delaunay triangulation of points drawn uniformly over the ARENA.
 
-    Draws n_vertices points, triangulates, and validates the result
-    (connectivity, minimum degree). A draw that cannot be triangulated
-    uniquely (points on one circle or one line, within rounding error) or
-    fails validation is replaced by a fresh draw of the full set. Raises
-    GraphGenerationError after GRAPH_ATTEMPTS attempts, ValueError for fewer
-    than 3 or more than MAX_VERTICES vertices.
+    The graph is a function of its arguments: the points come from the
+    seed's graph stream, ``default_rng(SeedSequence(seed, spawn_key=(0,)))``,
+    which nothing else draws from. Draws n_vertices points, triangulates,
+    and validates the result (connectivity, minimum degree). A draw that
+    cannot be triangulated uniquely (points on one circle or one line,
+    within rounding error) or fails validation is replaced by a fresh draw
+    of the full set. Raises GraphGenerationError after GRAPH_ATTEMPTS
+    attempts, ValueError for fewer than 3 or more than MAX_VERTICES
+    vertices or a seed that is not an integer >= 0.
+
+    The last GRAPH_MEMO graphs built are returned again for the same
+    arguments; a PlanarGraph is immutable, so runs share it. A failed
+    generation is not kept.
     """
+    # Checked before the lookup: 1.0 and True compare equal to the key 1.
+    if isinstance(n_vertices, bool) or not isinstance(n_vertices, numbers.Integral):
+        raise ValueError(f"n_vertices must be an integer, got {n_vertices!r}")
     if not 3 <= n_vertices <= MAX_VERTICES:
         raise ValueError(f"need 3 to {MAX_VERTICES} vertices, got {n_vertices}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    # A plain function over the memo: the benchmark's tracer wraps only
+    # objects for which inspect.isfunction holds, and an lru_cache is not one.
+    return _build_graph(int(n_vertices), int(seed))
 
+
+@functools.lru_cache(maxsize=GRAPH_MEMO)
+def _build_graph(n_vertices: int, seed: int) -> PlanarGraph:
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     for _ in range(GRAPH_ATTEMPTS):
         points = [Point(float(x), float(y)) for x, y in rng.uniform(0.0, ARENA, size=(n_vertices, 2))]
         try:  # TriangulationError is a ValueError

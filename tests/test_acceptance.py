@@ -133,7 +133,7 @@ def test_criterion_02_coverage_oracle(criterion):
 
 
 def test_criterion_03_kinematics(criterion):
-    graph = generate_random_graph(40, np.random.default_rng(2))
+    graph = generate_random_graph(40, 2)
     rng = np.random.default_rng(3)
 
     bad_state = 0
@@ -183,7 +183,7 @@ def test_criterion_03_kinematics(criterion):
 
 def _controller_instances(n_instances: int, seed0: int):
     """Random control problems; graphs are reused to keep setup cheap."""
-    graphs = [generate_random_graph(12, np.random.default_rng(g)) for g in range(4)]
+    graphs = [generate_random_graph(12, g) for g in range(4)]
     rng = np.random.default_rng(seed0)
     for i in range(n_instances):
         g = graphs[i % len(graphs)]

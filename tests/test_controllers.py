@@ -417,7 +417,7 @@ class TestHillClimbWithDispersion:
 class TestHillClimbWithPrediction:
     @staticmethod
     def _world(seed):
-        g = generate_random_graph(12, np.random.default_rng(seed))
+        g = generate_random_graph(12, seed)
         rng = np.random.default_rng(seed + 1)
         states = tuple(random_target_state(g, 0.5, rng) for _ in range(8))
         return g, states

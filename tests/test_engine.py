@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -82,6 +83,10 @@ class TestSimConfigValidation:
             # both passed here, then raised OverflowError in the run
             dict(ur=5e-324),
             dict(controller=ControllerKind.HC_HP, horizon=10**400),
+            # each raised OverflowError from math.isfinite
+            dict(sr=10**400),
+            dict(rv=10**400),
+            dict(ur=10**400),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -150,12 +155,21 @@ class TestSeedStreams:
         b = derive_streams(123)
         a.controller.uniform(size=1000)  # burn the controller stream only
         assert np.array_equal(a.targets.uniform(size=50), b.targets.uniform(size=50))
-        assert np.array_equal(a.graph.uniform(size=50), b.graph.uniform(size=50))
+        assert np.array_equal(a.observers.uniform(size=50), b.observers.uniform(size=50))
 
     def test_different_seeds_differ(self):
         a = derive_streams(0)
         b = derive_streams(1)
-        assert not np.array_equal(a.graph.uniform(size=10), b.graph.uniform(size=10))
+        for x, y in zip(a, b):
+            assert not np.array_equal(x.uniform(size=10), y.uniform(size=10))
+
+    def test_three_streams_on_keys_one_to_three(self):
+        # key 0 is the graph's stream, drawn by generate_random_graph
+        streams = derive_streams(9)
+        assert streams._fields == ("targets", "observers", "controller")
+        for key, rng in enumerate(streams, start=1):
+            want = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(key,)))
+            assert np.array_equal(rng.uniform(size=10), want.uniform(size=10))
 
 
 class TestRunSimulation:
@@ -327,3 +341,19 @@ def test_world_calls_go_through_the_engine_module_names(monkeypatch):
         if kind is not ControllerKind.KMEANS:
             assert {args[1] for args in calls[control[kind]]} == {controllers.N_CANDIDATES}
         assert rho.hex() == expected[kind].hex()
+
+
+def test_engine_imports_only_plain_ctosim_functions():
+    # The benchmark's tracer wraps only the ctosim functions the engine
+    # imports for which inspect.isfunction holds; a decorated one (an
+    # lru_cache, say) would run untraced and leave its captures empty.
+    imported = {
+        name: obj
+        for name, obj in vars(engine).items()
+        if callable(obj)
+        and not isinstance(obj, type)
+        and getattr(obj, "__module__", "").startswith("ctosim.")
+        and obj.__module__ != "ctosim.engine"
+    }
+    assert {"generate_random_graph", "step_target", "hc_hp_control"} <= set(imported)
+    assert [name for name, obj in imported.items() if not inspect.isfunction(obj)] == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctosim.engine import SimConfig, derive_streams
+from ctosim.engine import SimConfig
 from ctosim.geometry import (
     Point,
     Triangle,
@@ -19,6 +19,7 @@ from ctosim.geometry import (
     distance,
     triangulation_edges,
 )
+from ctosim.world import generate_random_graph
 from oracles import (
     convex_hull,
     delaunay_violations,
@@ -108,16 +109,15 @@ class TestDelaunayTriangulate:
 
     def test_edges_equal_qhull_on_the_default_graph_stream(self):
         spatial = pytest.importorskip("scipy.spatial")
-        cfg = SimConfig()
+        n_vertices = SimConfig().n_vertices
         for seed in range(500):
-            coords = derive_streams(seed).graph.uniform(0.0, [cfg.width, cfg.height], size=(cfg.n_vertices, 2))
+            g = generate_random_graph(n_vertices, seed)
             qhull = {
                 (min(u, v), max(u, v))
-                for s in spatial.Delaunay(coords).simplices.tolist()
+                for s in spatial.Delaunay(np.array(g.vertices)).simplices.tolist()
                 for u, v in itertools.combinations(s, 2)
             }
-            pts = [Point(float(x), float(y)) for x, y in coords]
-            assert triangulation_edges(delaunay_triangulate(pts)) == sorted(qhull), f"seed {seed}"
+            assert sorted((e.u, e.v) for e in g.edges) == sorted(qhull), f"seed {seed}"
 
     def test_triangles_tile_the_convex_hull(self):
         rng = np.random.default_rng(11)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ctosim.harness as harness
+import ctosim.world as world
 from ctosim.controllers import ControllerKind
 from ctosim.engine import SimConfig
 from ctosim.harness import (
@@ -210,6 +211,18 @@ class TestRunSweep:
         parallel = run_sweep(spec, jobs=2)
         assert [r.result.rho for r in serial.records] == [r.result.rho for r in parallel.records]
         assert serial.summaries == parallel.summaries
+
+    def test_parallel_equals_serial_with_a_cold_or_warm_graph_memo(self):
+        # Workers start from a copy of this process's memo or an empty one;
+        # either way each run sees its seed's one graph.
+        spec = small_spec(controllers=(ControllerKind.KMEANS, ControllerKind.HC), runs_per_cell=2)
+        world._build_graph.cache_clear()
+        cold_parallel = run_sweep(spec, jobs=2)
+        serial = run_sweep(spec, jobs=1)
+        warm_parallel = run_sweep(spec, jobs=2)
+        for other in (cold_parallel, warm_parallel):
+            assert [r.result.rho for r in other.records] == [r.result.rho for r in serial.records]
+            assert other.summaries == serial.summaries
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_jobs_below_one(self, monkeypatch, jobs):

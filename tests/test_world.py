@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import ctosim.world as world
 from ctosim.geometry import Point, distance
 from ctosim.world import (
     GRAPH_ATTEMPTS,
+    GRAPH_MEMO,
     GraphGenerationError,
     ObserverState,
     PlanarGraph,
@@ -80,14 +82,14 @@ class TestPlanarGraphValidation:
 
 class TestGenerateRandomGraph:
     def test_shape_and_bounds(self):
-        g = generate_random_graph(40, np.random.default_rng(0))
+        g = generate_random_graph(40, 0)
         assert len(g.vertices) == 40
         assert all(0.0 <= p.x <= 150.0 and 0.0 <= p.y <= 150.0 for p in g.vertices)
         assert all(len(inc) >= 2 for inc in g.adjacency)
         assert all(e.length == distance(g.vertices[e.u], g.vertices[e.v]) for e in g.edges)
 
     def test_connected(self):
-        g = generate_random_graph(25, np.random.default_rng(1))
+        g = generate_random_graph(25, 1)
         seen = {0}
         frontier = [0]
         while frontier:
@@ -101,7 +103,7 @@ class TestGenerateRandomGraph:
         assert seen == set(range(25))
 
     def test_edges_do_not_cross(self):
-        g = generate_random_graph(30, np.random.default_rng(2))
+        g = generate_random_graph(30, 2)
         segs = [
             ((g.vertices[e.u].x, g.vertices[e.u].y), (g.vertices[e.v].x, g.vertices[e.v].y))
             for e in g.edges
@@ -111,30 +113,81 @@ class TestGenerateRandomGraph:
                 assert not segments_cross(*segs[i], *segs[j])
 
     def test_deterministic_for_fixed_seed(self):
-        a = generate_random_graph(20, np.random.default_rng(42))
-        b = generate_random_graph(20, np.random.default_rng(42))
+        a = generate_random_graph(20, 42)
+        world._build_graph.cache_clear()
+        b = generate_random_graph(20, 42)
+        assert a is not b
         assert a == b
 
     def test_argument_validation(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            generate_random_graph(2, rng)
+            generate_random_graph(2, 0)
         with pytest.raises(ValueError, match="3 to 100 vertices"):
-            generate_random_graph(101, rng)
+            generate_random_graph(101, 0)
 
-    def test_gives_up_after_max_attempts(self):
-        class CollinearRng:
-            # every draw lands on one line, so triangulation keeps failing
-            draws = 0
+    def test_gives_up_after_max_attempts(self, monkeypatch):
+        calls = []
 
-            def uniform(self, low, high, size=None):
-                self.draws += 1
-                return np.zeros(size if size is not None else 2)
+        def never(points):
+            calls.append(points)
+            raise ValueError("no unique triangulation")
 
-        rng = CollinearRng()
+        world._build_graph.cache_clear()
+        monkeypatch.setattr(world, "delaunay_triangulate", never)
         with pytest.raises(GraphGenerationError):
-            generate_random_graph(5, rng)
-        assert rng.draws == GRAPH_ATTEMPTS
+            generate_random_graph(5, 0)
+        assert len(calls) == GRAPH_ATTEMPTS
+
+    def test_draws_the_seeds_graph_stream(self):
+        # the stream SeedStreams.graph gave before the memo, so every
+        # graph, and every rho, is unchanged
+        g = generate_random_graph(40, 3)
+        rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
+        assert [list(p) for p in g.vertices] == rng.uniform(0.0, 150.0, size=(40, 2)).tolist()
+
+
+class TestGraphMemo:
+    def test_hit_is_the_kept_graph_and_equals_a_fresh_build(self):
+        g = generate_random_graph(30, 11)
+        assert generate_random_graph(30, 11) is g
+        assert world._build_graph.__wrapped__(30, 11) == g
+
+    def test_different_arguments_never_collide(self):
+        keys = [(n, seed) for n in (10, 11, 12) for seed in (0, 1, 10, 11, 12)]
+        graphs = {key: generate_random_graph(*key) for key in keys}
+        assert len({(g.vertices, g.edges) for g in graphs.values()}) == len(keys)
+        for key, g in graphs.items():
+            assert g == world._build_graph.__wrapped__(*key)
+
+    def test_failure_is_not_kept(self, monkeypatch):
+        world._build_graph.cache_clear()
+
+        def never(points):
+            raise ValueError("no unique triangulation")
+
+        with monkeypatch.context() as m:
+            m.setattr(world, "delaunay_triangulate", never)
+            with pytest.raises(GraphGenerationError):
+                generate_random_graph(8, 5)
+        assert world._build_graph.cache_info().currsize == 0
+        assert generate_random_graph(8, 5) == world._build_graph.__wrapped__(8, 5)
+
+    def test_never_exceeds_its_bound(self):
+        world._build_graph.cache_clear()
+        for seed in range(GRAPH_MEMO + 8):
+            generate_random_graph(4, seed)
+            assert world._build_graph.cache_info().currsize <= GRAPH_MEMO
+        assert world._build_graph.cache_info().currsize == GRAPH_MEMO
+
+    @pytest.mark.parametrize(
+        "n_vertices, seed", [(40, 1.0), (40, True), (40, -1), (40, "1"), (40, None), (40.0, 1), (True, 1)]
+    )
+    def test_bad_arguments_rejected_before_the_lookup(self, n_vertices, seed):
+        generate_random_graph(40, 1)
+        before = world._build_graph.cache_info()
+        with pytest.raises(ValueError):
+            generate_random_graph(n_vertices, seed)
+        assert world._build_graph.cache_info() == before
 
 
 class TestRandomTargetState:
@@ -234,7 +287,7 @@ class TestStepTarget:
             assert distance(before, target_point(g, s)) <= s.speed + 1e-9
 
     def test_displacement_never_exceeds_speed(self):
-        g = generate_random_graph(15, np.random.default_rng(4))
+        g = generate_random_graph(15, 4)
         rng = np.random.default_rng(5)
         s = random_target_state(g, 0.9, rng)
         for _ in range(2000):
@@ -285,7 +338,7 @@ class TestStepObserver:
 
 class TestPredictTarget:
     def test_horizon_zero_matches_current_position(self):
-        g = generate_random_graph(12, np.random.default_rng(7))
+        g = generate_random_graph(12, 7)
         rng = np.random.default_rng(8)
         for _ in range(100):
             s = random_target_state(g, 0.5, rng)
@@ -307,7 +360,7 @@ class TestPredictTarget:
 
 @lru_cache(maxsize=1)
 def _property_graph() -> PlanarGraph:
-    return generate_random_graph(15, np.random.default_rng(100))
+    return generate_random_graph(15, 100)
 
 
 @settings(max_examples=150, deadline=None)
