@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _rules
 from .geometry import Point
 from .metrics import mean_pairwise_observer_distance, points_array, squared_distances
 from .world import ARENA, PlanarGraph, TargetState, predict_target
@@ -65,10 +66,13 @@ class ControlInput:
             raise ValueError("one destination per observer is required")
         if len(self.observer_points) == 0:
             raise ValueError("at least one observer is required")
-        if not self.sr > 0.0:
-            raise ValueError(f"sensor range must be positive, got {self.sr}")
+        _rules.positive("sensor range", self.sr)
         coords = chain(*self.observer_points, *self.current_destinations, *self.target_eval_points)
-        if not all(map(math.isfinite, coords)):
+        try:  # math.isfinite raises OverflowError for an int beyond float range
+            finite = all(map(math.isfinite, coords))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError("observer points, destinations and target points must be finite")
 
 
@@ -115,8 +119,7 @@ def _covered_counts(sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndar
 def _hc_family(
     inp: ControlInput, eval_points: Sequence, n_candidates: int, use_dispersion: bool
 ) -> list[Point]:
-    if n_candidates < 1:
-        raise ValueError(f"need at least 1 candidate, got {n_candidates}")
+    _rules.integer("n_candidates", n_candidates, 1)
     base = points_array(inp.current_destinations)
     targets = points_array(eval_points)
 
@@ -162,8 +165,7 @@ def hc_hp_control(
     With horizon 0 this reduces exactly to hc_h_control on the targets'
     current positions.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    _rules.horizon(horizon)
     predicted = [predict_target(graph, s, horizon) for s in target_states]
     return _hc_family(inp, predicted, n_candidates, use_dispersion=True)
 

@@ -1,23 +1,26 @@
 """Deterministic simulation engine.
 
 A run is fully determined by its SimConfig. The seed is split into four
-independent substreams (graph layout, target placement and motion, observer
-placement, controller randomness) so that, for a fixed seed, the graph and
-the target trajectories are identical no matter which controller is being
-exercised. The graph's stream is drawn inside generate_random_graph, which
-builds each seed's graph once and shares it between runs.
+independent substreams, the children of ``SeedSequence(seed).spawn(4)``:
+graph layout, target placement and motion, observer placement, controller
+randomness. So, for a fixed seed, the graph and the target trajectories
+are identical no matter which controller is being exercised. The graph's
+stream is drawn inside generate_random_graph, which builds each seed's
+graph once and shares it between runs.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
+# The rules are called through their module: the benchmark's tracer wraps
+# every ctosim function that the engine imports by name.
+from . import _rules
 from .controllers import (
     N_CANDIDATES,
     ControlInput,
@@ -47,31 +50,6 @@ from .world import (
 MAX_AGENTS = 1000
 
 
-class SeedStreams(NamedTuple):
-    """Three of the four independent random streams derived from one run
-    seed; the graph's stream is drawn by generate_random_graph."""
-
-    targets: np.random.Generator
-    observers: np.random.Generator
-    controller: np.random.Generator
-
-
-def derive_streams(seed: int) -> SeedStreams:
-    """Split a run seed into the per-run generators.
-
-    Each stream is spawned with a fixed key, so drawing from one stream never
-    perturbs the others: two runs with the same seed see identical target
-    trajectories even if their controllers consume different amounts of
-    randomness. Key 0 is the graph's stream, spawned by generate_random_graph.
-    """
-    return SeedStreams(
-        *(
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
-            for key in (1, 2, 3)
-        )
-    )
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of one simulation run. Defaults follow the
@@ -93,40 +71,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sr", "rv", "ur"):
-            value = getattr(self, name)
-            try:  # math.isfinite raises OverflowError for an int beyond float range
-                finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("steps", "n_observers", "n_targets", "n_vertices", "horizon", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 1 <= self.n_observers <= MAX_AGENTS:
-            raise ValueError(f"need 1 to {MAX_AGENTS} observers, got {self.n_observers}")
-        if not 1 <= self.n_targets <= MAX_AGENTS:
-            raise ValueError(f"need 1 to {MAX_AGENTS} targets, got {self.n_targets}")
-        if not 3 <= self.n_vertices <= MAX_VERTICES:
-            raise ValueError(f"need 3 to {MAX_VERTICES} graph vertices, got {self.n_vertices}")
-        if self.sr <= 0.0:
-            raise ValueError(f"sensor range must be positive, got {self.sr}")
-        diagonal = math.hypot(self.width, self.height)
-        if not 0.0 < self.rv <= diagonal:
-            raise ValueError(f"target speed must be in (0, {diagonal:g}], the arena diagonal; got {self.rv}")
+        _rules.integer("steps", self.steps, 1)
+        _rules.integer("n_observers", self.n_observers, 1, MAX_AGENTS)
+        _rules.integer("n_targets", self.n_targets, 1, MAX_AGENTS)
+        _rules.integer("n_vertices", self.n_vertices, 3, MAX_VERTICES)
+        _rules.positive("sr", self.sr)
+        _rules.positive("rv", self.rv, math.hypot(self.width, self.height))
         update_period(self.ur)
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        try:  # hc-hp scales the target speed by the horizon in floats
-            float(self.horizon)
-        except OverflowError:
-            raise ValueError("horizon is too large to convert to a float") from None
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _rules.horizon(self.horizon)
+        _rules.integer("seed", self.seed, 0)
         if not isinstance(self.controller, ControllerKind):
             raise ValueError(f"controller must be a ControllerKind, got {self.controller!r}")
 
@@ -148,8 +101,7 @@ def update_period(ur: float) -> int:
     Raises ValueError for a rate outside (0, 1] or one so small that 1/ur
     overflows to infinity.
     """
-    if not 0.0 < ur <= 1.0:
-        raise ValueError(f"update rate must be in (0, 1], got {ur}")
+    _rules.positive("ur", ur, 1.0)
     period = 1.0 / ur
     if not math.isfinite(period):
         raise ValueError(f"update rate {ur} is too small: 1/ur is not finite")
@@ -196,22 +148,26 @@ def run_simulation(
     """
     start = time.perf_counter()
 
-    streams = derive_streams(cfg.seed)
+    # Child 0 is the graph's stream, drawn inside generate_random_graph. Each
+    # child is its own stream, so a controller that draws more never shifts
+    # the targets' draws.
+    target_rng, observer_rng, controller_rng = map(
+        np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(4)[1:]
+    )
     graph = generate_random_graph(cfg.n_vertices, cfg.seed)
-    targets = [random_target_state(graph, cfg.rv, streams.targets) for _ in range(cfg.n_targets)]
-    coords = streams.observers.uniform(0.0, ARENA, size=(cfg.n_observers, 2))
+    targets = [random_target_state(graph, cfg.rv, target_rng) for _ in range(cfg.n_targets)]
+    coords = observer_rng.uniform(0.0, ARENA, size=(cfg.n_observers, 2))
     observers = [ObserverState(Point(float(x), float(y)), Point(float(x), float(y))) for x, y in coords]
 
     target_pts = tuple([target_point(graph, s) for s in targets])
     period = update_period(cfg.ur)
-    target_rng = streams.targets
     observed_sum = 0
     counts: list[int] = []
     trace: list[tuple[Point, ...]] = []
     for t in range(cfg.steps):
         if t % period == 0:
             destinations = _next_destinations(
-                cfg, graph, targets, target_pts, observers, streams.controller
+                cfg, graph, targets, target_pts, observers, controller_rng
             )
             observers = [ObserverState(o.position, d) for o, d in zip(observers, destinations)]
         targets = [step_target(graph, s, target_rng) for s in targets]

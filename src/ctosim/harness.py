@@ -17,6 +17,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import _rules
 from .controllers import ControllerKind
 from .engine import RunResult, SimConfig, run_simulation
 
@@ -82,18 +83,8 @@ class SweepSpec:
                 raise ValueError(f"{name} must not repeat, got {items!r}")
         if not isinstance(self.base, SimConfig):
             raise ValueError(f"base must be a SimConfig, got {self.base!r}")
-        for name in ("runs_per_cell", "base_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.runs_per_cell < 1:
-            raise ValueError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
-        if self.runs_per_cell > MAX_RUNS_PER_CELL:
-            raise ValueError(
-                f"runs_per_cell must be at most {MAX_RUNS_PER_CELL}, got {self.runs_per_cell}"
-            )
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        _rules.integer("runs_per_cell", self.runs_per_cell, 1, MAX_RUNS_PER_CELL)
+        _rules.integer("base_seed", self.base_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -140,12 +131,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     output is identical either way. Raises ValueError unless jobs is an
     integer from 1 to MAX_JOBS.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
-        raise ValueError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > MAX_JOBS:
-        raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
+    _rules.integer("jobs", jobs, 1, MAX_JOBS)
     cells = [(ctrl, value) for ctrl in spec.controllers for value in spec.values]
     configs = [cfg for ctrl, value in cells for cfg in _cell_configs(spec, ctrl, value)]
     workers = min(jobs, len(configs))

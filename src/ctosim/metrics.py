@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _rules
 from .geometry import Point
 
 
@@ -55,8 +56,7 @@ def observation_matrix(
     targets of each observer set. The sensing disc is closed: a target
     exactly at distance sr is observed.
     """
-    if not sr > 0.0:
-        raise ValueError(f"sensor range must be positive, got {sr}")
+    _rules.positive("sensor range", sr)
     return squared_distances(points_array(observer_points), points_array(target_points)) <= sr * sr
 
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _rules
 from .geometry import Point, distance, delaunay_triangulate, triangulation_edges
 
 #: Most graph vertices a world may have: triangulation is O(n⁴) work.
@@ -127,11 +127,12 @@ def generate_random_graph(n_vertices: int, seed: int) -> PlanarGraph:
 
     The graph is a function of its arguments: the points come from the
     seed's graph stream, ``default_rng(SeedSequence(seed, spawn_key=(0,)))``,
-    which nothing else draws from. Draws n_vertices points, triangulates,
-    and validates the result (connectivity, minimum degree). A draw that
-    cannot be triangulated uniquely (points on one circle or one line,
-    within rounding error) or fails validation is replaced by a fresh draw
-    of the full set. Raises GraphGenerationError after GRAPH_ATTEMPTS
+    child 0 of the run's ``SeedSequence(seed).spawn(4)``, which nothing else
+    draws from. Draws n_vertices points, triangulates, and validates the
+    result (connectivity, minimum degree). A draw that cannot be
+    triangulated uniquely (points on one circle or one line, within
+    rounding error) or fails validation is replaced by a fresh draw of the
+    full set. Raises GraphGenerationError after GRAPH_ATTEMPTS
     attempts, ValueError for fewer than 3 or more than MAX_VERTICES
     vertices or a seed that is not an integer >= 0.
 
@@ -140,12 +141,8 @@ def generate_random_graph(n_vertices: int, seed: int) -> PlanarGraph:
     generation is not kept.
     """
     # Checked before the lookup: 1.0 and True compare equal to the key 1.
-    if isinstance(n_vertices, bool) or not isinstance(n_vertices, numbers.Integral):
-        raise ValueError(f"n_vertices must be an integer, got {n_vertices!r}")
-    if not 3 <= n_vertices <= MAX_VERTICES:
-        raise ValueError(f"need 3 to {MAX_VERTICES} vertices, got {n_vertices}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _rules.integer("n_vertices", n_vertices, 3, MAX_VERTICES)
+    _rules.integer("seed", seed, 0)
     # A plain function over the memo: the benchmark's tracer wraps only
     # objects for which inspect.isfunction holds, and an lru_cache is not one.
     return _build_graph(int(n_vertices), int(seed))
@@ -167,8 +164,7 @@ def _build_graph(n_vertices: int, seed: int) -> PlanarGraph:
 
 def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generator) -> TargetState:
     """Place a target uniformly: random edge, random offset along it, random heading."""
-    if not 0.0 < speed < math.inf:
-        raise ValueError(f"target speed must be finite and positive, got {speed}")
+    _rules.positive("target speed", speed)
     edge = int(rng.integers(len(graph.edges)))
     e = graph.edges[edge]
     offset = float(rng.uniform(0.0, e.length))
@@ -243,8 +239,7 @@ def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tupl
     (branching beyond it is unpredictable). horizon = 0 gives the current
     position exactly.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    _rules.horizon(horizon)
     edge, toward, offset, speed = state
     offset += speed * horizon
     length = graph.edges[edge].length

@@ -75,7 +75,7 @@ class TestSimulate:
         code, out, err = run_main(["simulate", "--rv", "1e12", "--steps", "1"], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: target speed must be in (0, ")
+        assert err.startswith("error: rv must be a finite number in (0, ")
         assert err.count("\n") == 1
 
     def test_too_many_vertices_is_one_error_line(self, capsys):
@@ -83,7 +83,7 @@ class TestSimulate:
         code, out, err = run_main(["simulate", "--vertices", "101"], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: need 3 to 100 graph vertices, got 101")
+        assert err.startswith("error: n_vertices must be at most 100, got 101")
         assert err.count("\n") == 1
 
     def test_no_options_build_the_default_config(self, capsys, monkeypatch):

@@ -122,7 +122,7 @@ class TestGenerateRandomGraph:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             generate_random_graph(2, 0)
-        with pytest.raises(ValueError, match="3 to 100 vertices"):
+        with pytest.raises(ValueError, match="n_vertices must be at most 100"):
             generate_random_graph(101, 0)
 
     def test_gives_up_after_max_attempts(self, monkeypatch):
@@ -139,8 +139,8 @@ class TestGenerateRandomGraph:
         assert len(calls) == GRAPH_ATTEMPTS
 
     def test_draws_the_seeds_graph_stream(self):
-        # the stream SeedStreams.graph gave before the memo, so every
-        # graph, and every rho, is unchanged
+        # the key-0 stream the engine gave the graph before the memo, so
+        # every graph, and every rho, is unchanged
         g = generate_random_graph(40, 3)
         rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
         assert [list(p) for p in g.vertices] == rng.uniform(0.0, 150.0, size=(40, 2)).tolist()
@@ -208,7 +208,7 @@ class TestRandomTargetState:
     @pytest.mark.parametrize("speed", [math.inf, math.nan, -math.inf, -0.5])
     def test_speed_must_be_finite_and_positive(self, speed):
         # inf made the first step_target loop forever and nan gave nan offsets
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match="target speed must be a finite number > 0"):
             random_target_state(triangle_graph(), speed, np.random.default_rng(0))
 
     def test_placement_is_uniform(self):
