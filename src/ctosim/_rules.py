@@ -15,15 +15,20 @@ import sys
 FLOAT_MAX = sys.float_info.max
 
 
+def _shown(value, form=str) -> str:
+    """form(value), or the size of an int beyond the float range: str() refuses one of 4300+ digits."""
+    huge = isinstance(value, int) and not -FLOAT_MAX <= value <= FLOAT_MAX
+    return f"an integer of {abs(value).bit_length()} bits" if huge else form(value)
+
+
 def integer(name: str, value, lo: int, hi: float | None = None) -> None:
     """A count: an integer in [lo, hi], or at least lo when hi is None. A
     bool is not one, although it is an int to Python."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ValueError(f"{name} must be at most {hi}, got {value}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if value < lo else f"at most {hi}"
+        raise ValueError(f"{name} must be {bound}, got {_shown(value)}")
 
 
 def horizon(value) -> None:
@@ -43,4 +48,4 @@ def positive(name: str, value, hi: float = FLOAT_MAX) -> None:
         and (isinstance(value, bool) or not isinstance(value, numbers.Real))
     ) or not 0 < value <= hi:
         bound = "> 0" if hi == FLOAT_MAX else f"in (0, {hi:g}]"
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+        raise ValueError(f"{name} must be a finite number {bound}, got {_shown(value, repr)}")

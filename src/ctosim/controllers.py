@@ -77,7 +77,7 @@ class ControlInput:
 
 
 def _rows_to_points(rows: np.ndarray) -> list[Point]:
-    return [Point(x, y) for x, y in rows.tolist()]
+    return list(map(Point._make, rows.tolist()))
 
 
 def _covered_counts(sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndarray:
@@ -112,8 +112,9 @@ def _covered_counts(sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndar
     dy -= targets[pair_target, 1, None]
     dy *= dy
     dx += dy
-    seen = dx <= sr * sr
-    return np.logical_or.reduceat(seen, np.flatnonzero(starts), axis=0).sum(axis=0)
+    seen = np.packbits(dx <= sr * sr, axis=1)  # sets eight to a byte: the OR loops over bytes
+    covered = np.bitwise_or.reduceat(seen, np.flatnonzero(starts), axis=0)
+    return np.unpackbits(covered, axis=1, count=len(sets)).sum(axis=0)
 
 
 def _hc_family(
@@ -123,21 +124,25 @@ def _hc_family(
     base = points_array(inp.current_destinations)
     targets = points_array(eval_points)
 
-    # clip(base + offsets, 0, ARENA), in the offsets' buffer
-    candidates = inp.rng.uniform(-PERTURB_MAG, PERTURB_MAG, size=(n_candidates,) + base.shape)
+    # The incumbent first: argmax returns the first of equal counts, so a
+    # candidate is adopted only by strictly more coverage.
+    sets = np.empty((n_candidates + 1,) + base.shape)
+    sets[0] = base
+    # clip(base + U[-PERTURB_MAG, PERTURB_MAG), 0, ARENA) in place, as Generator.uniform draws it
+    candidates = inp.rng.random(out=sets[1:])
+    candidates *= 2.0 * PERTURB_MAG
+    candidates -= PERTURB_MAG
     candidates += base
     np.maximum(candidates, 0.0, out=candidates)
     np.minimum(candidates, ARENA, out=candidates)
-    # The incumbent first: argmax returns the first of equal counts, so a
-    # candidate is adopted only by strictly more coverage.
-    sets = np.concatenate([base[None], candidates])
     counts = _covered_counts(sets, targets, inp.sr)
     pick = int(np.argmax(counts))
     if pick == 0 and use_dispersion and len(base) > 1:
         # The incumbent and the candidates that tie it, first to last, in one
         # batch so that every spread has the same arithmetic.
-        sets = sets[counts == counts[0]]
-        pick = int(np.argmax(mean_pairwise_observer_distance(sets)))
+        tied = np.flatnonzero(counts == counts[0])
+        if len(tied) > 1:
+            pick = int(tied[np.argmax(mean_pairwise_observer_distance(sets[tied]))])
     return _rows_to_points(sets[pick]) if pick else list(inp.current_destinations)
 
 

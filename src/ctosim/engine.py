@@ -102,7 +102,7 @@ def update_period(ur: float) -> int:
     overflows to infinity.
     """
     _rules.positive("ur", ur, 1.0)
-    period = 1.0 / ur
+    period = 1.0 / ur if float(ur) else math.inf  # float(Fraction(1, 10**400)) is 0.0
     if not math.isfinite(period):
         raise ValueError(f"update rate {ur} is too small: 1/ur is not finite")
     return max(1, int(round(period)))
@@ -166,10 +166,9 @@ def run_simulation(
     trace: list[tuple[Point, ...]] = []
     for t in range(cfg.steps):
         if t % period == 0:
-            destinations = _next_destinations(
-                cfg, graph, targets, target_pts, observers, controller_rng
-            )
-            observers = [ObserverState(o.position, d) for o, d in zip(observers, destinations)]
+            destinations = _next_destinations(cfg, graph, targets, target_pts, observers, controller_rng)
+            pairs = zip(observers, destinations)  # a kept destination comes back as the same object
+            observers = [o if d is o.destination else ObserverState(o.position, d) for o, d in pairs]
         targets = [step_target(graph, s, target_rng) for s in targets]
         observers = [step_observer(o) for o in observers]
         target_pts = tuple([target_point(graph, s) for s in targets])

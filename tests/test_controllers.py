@@ -198,6 +198,26 @@ class TestPerturb:
         b = hc_h_control(_mk_input(base, [(140, 140)], 1.0, 3), 5)
         assert a == b
 
+    @pytest.mark.parametrize("n", [1, 12, 1000])
+    @pytest.mark.parametrize("seed", [0, 23, 2**32 - 1])
+    def test_draw_is_generator_uniform_bit_for_bit(self, monkeypatch, n, seed):
+        # The candidates are drawn in place with Generator.uniform's
+        # arithmetic; a numpy whose uniform rounds otherwise fails here.
+        # Destinations PERTURB_MAG inside the arena leave the clip idle.
+        dests = np.random.default_rng(seed + 1).uniform(PERTURB_MAG, ARENA[0] - PERTURB_MAG, size=(n, 2))
+        scored = []
+
+        def spy(sets, targets, sr):
+            scored.append(sets.copy())
+            return np.zeros(len(sets), dtype=int)
+
+        monkeypatch.setattr(controllers, "_covered_counts", spy)
+        for n_candidates in (1, 100):
+            hc_control(_mk_input(dests, [(75.0, 75.0)], 5.0, seed), n_candidates)
+            offsets = np.random.default_rng(seed).uniform(-PERTURB_MAG, PERTURB_MAG, size=(n_candidates, n, 2))
+            want = np.concatenate([dests[None], dests + offsets])
+            assert scored[-1].tobytes() == want.tobytes()
+
     def test_input_not_mutated(self):
         base = _pts([(10.0, 10.0)])
         inp = _mk_input(base, [(10.5, 10.0)], 5.0, 0)
@@ -224,7 +244,10 @@ class TestCoveredCounts:
             st.sampled_from([size, 2.0 * size]) | st.floats(0.01, 1.2 * math.sqrt(2.0) * size), "sr"
         )
         coordinate = st.sampled_from([0.0, size]) | st.floats(0.0, size) | st.floats(-size, 2.0 * size)
-        s, n = data.draw(st.integers(1, 6), "sets"), data.draw(st.integers(1, 5), "observers")
+        # The OR runs over sets packed eight to a byte: 8 and 16 sets fill
+        # whole bytes, 9 and 17 put one set in a byte of its own.
+        sets_count = st.integers(1, 20) | st.sampled_from([8, 9, 16, 17])
+        s, n = data.draw(sets_count, "sets"), data.draw(st.integers(1, 5), "observers")
         rows = data.draw(st.lists(coordinate, min_size=2 * s * n, max_size=2 * s * n))
         sets = np.array(rows).reshape(s, n, 2)
         for _ in range(data.draw(st.integers(0, 3), "repeats")):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import fractions
 import inspect
 import math
 
@@ -86,6 +87,8 @@ class TestSimConfigValidation:
             dict(sr=10**400),
             dict(rv=10**400),
             dict(ur=10**400),
+            # raised ZeroDivisionError: 1.0 / ur rounds the rate to 0.0
+            dict(ur=fractions.Fraction(1, 10**400)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

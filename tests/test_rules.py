@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctosim.controllers import ControlInput, hc_control, hc_hp_control
+from ctosim.engine import SimConfig
 from ctosim.geometry import Point
 from ctosim.metrics import observation_matrix
 from ctosim.world import PlanarGraph, TargetState, predict_target, random_target_state
@@ -48,3 +49,20 @@ CASES = {
 def test_entry_point_rejects_a_value_outside_its_rule(case):
     with pytest.raises(ValueError):
         CASES[case]()
+
+
+# Python turns no int of more than 4300 digits into a string, so these raised
+# its "Exceeds the limit" error in place of the rule's message.
+HUGE_MESSAGES = {
+    "steps": (-(10**5000), "steps must be >= 1, got an integer of 16610 bits"),
+    "n_observers": (10**5000, "n_observers must be at most 1000, got an integer of 16610 bits"),
+    "sr": (-(10**5000), "sr must be a finite number > 0, got an integer of 16610 bits"),
+}
+
+
+@pytest.mark.parametrize("field", HUGE_MESSAGES)
+def test_an_int_too_long_to_print_is_shown_by_its_size(field):
+    value, message = HUGE_MESSAGES[field]
+    with pytest.raises(ValueError) as caught:
+        SimConfig(**{field: value})
+    assert str(caught.value) == message
