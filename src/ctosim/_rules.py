@@ -16,16 +16,20 @@ FLOAT_MAX = sys.float_info.max
 
 
 def _shown(value, form=str) -> str:
-    """form(value), or the size of an int beyond the float range: str() refuses one of 4300+ digits."""
-    huge = isinstance(value, int) and not -FLOAT_MAX <= value <= FLOAT_MAX
-    return f"an integer of {abs(value).bit_length()} bits" if huge else form(value)
+    """form(value), or the size of a rational beyond the float range: str() refuses an int of 4300+ digits."""
+    n, d = (value.numerator, value.denominator) if isinstance(value, numbers.Rational) else (0, 1)
+    if -FLOAT_MAX <= n <= FLOAT_MAX and d <= FLOAT_MAX:
+        return form(value)
+    if isinstance(value, int):
+        return f"an integer of {abs(n).bit_length()} bits"
+    return f"a fraction of a {abs(n).bit_length()}-bit numerator over a {d.bit_length()}-bit denominator"
 
 
 def integer(name: str, value, lo: int, hi: float | None = None) -> None:
     """A count: an integer in [lo, hi], or at least lo when hi is None. A
     bool is not one, although it is an int to Python."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value, repr)}")
     if value < lo or (hi is not None and value > hi):
         bound = f">= {lo}" if value < lo else f"at most {hi}"
         raise ValueError(f"{name} must be {bound}, got {_shown(value)}")

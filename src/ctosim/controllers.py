@@ -134,7 +134,8 @@ def _hc_family(
     candidates -= PERTURB_MAG
     candidates += base
     np.maximum(candidates, 0.0, out=candidates)
-    np.minimum(candidates, ARENA, out=candidates)
+    for k in (0, 1):  # one scalar bound per axis: a tuple bound is broadcast, at nearly twice the cost
+        np.minimum(candidates[..., k], ARENA[k], out=candidates[..., k])
     counts = _covered_counts(sets, targets, inp.sr)
     pick = int(np.argmax(counts))
     if pick == 0 and use_dispersion and len(base) > 1:
@@ -181,23 +182,28 @@ def kmeans_control(inp: ControlInput) -> list[Point]:
     There is one cluster per observer: centroids start at the observers' own
     positions and each observer is sent to its own centroid, so assignments
     persist across invocations. Clusters left empty keep their previous
-    centroid. Iteration stops when no centroid moves more than KMEANS_TOL or
-    after KMEANS_MAX_ITERS rounds.
+    centroid. Iteration stops when no centroid moves more than KMEANS_TOL,
+    when the assignment repeats, or after KMEANS_MAX_ITERS rounds.
     """
     if len(inp.target_eval_points) == 0:
         raise ValueError("k-means needs at least one target position")
     pts = points_array(inp.target_eval_points)
     centroids = points_array(inp.observer_points)
+    last = None
     for _ in range(KMEANS_MAX_ITERS):
         assign = np.argmin(squared_distances(pts, centroids), axis=1)
+        # a repeat would give the same sums in the same order: the same centroids
+        if assign.tobytes() == last:
+            break
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, pts)
         sizes = np.bincount(assign, minlength=len(centroids))
         moved = centroids.copy()
         nonempty = sizes > 0
         moved[nonempty] = sums[nonempty] / sizes[nonempty, None]
-        shift = float(np.sqrt(((moved - centroids) ** 2).sum(axis=1)).max())
-        centroids = moved
+        # sqrt is correctly rounded and monotone, so this is the largest root
+        shift = math.sqrt(float(((moved - centroids) ** 2).sum(axis=1).max()))
+        centroids, last = moved, assign.tobytes()
         if shift < KMEANS_TOL:
             break
     return _rows_to_points(centroids)

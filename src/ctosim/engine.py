@@ -18,9 +18,10 @@ from typing import ClassVar
 
 import numpy as np
 
-# The rules are called through their module: the benchmark's tracer wraps
-# every ctosim function that the engine imports by name.
+# The rules and the observer-state build are called through their modules:
+# the benchmark's tracer wraps every ctosim function the engine imports by name.
 from . import _rules
+from . import world as _world
 from .controllers import (
     N_CANDIDATES,
     ControlInput,
@@ -104,7 +105,7 @@ def update_period(ur: float) -> int:
     _rules.positive("ur", ur, 1.0)
     period = 1.0 / ur if float(ur) else math.inf  # float(Fraction(1, 10**400)) is 0.0
     if not math.isfinite(period):
-        raise ValueError(f"update rate {ur} is too small: 1/ur is not finite")
+        raise ValueError(f"update rate {_rules._shown(ur)} is too small: 1/ur is not finite")
     return max(1, int(round(period)))
 
 
@@ -116,13 +117,9 @@ def _next_destinations(
     observers: list[ObserverState],
     rng: np.random.Generator,
 ) -> list[Point]:
-    inp = ControlInput(
-        observer_points=tuple(o.position for o in observers),
-        current_destinations=tuple(o.destination for o in observers),
-        target_eval_points=target_pts,
-        sr=cfg.sr,
-        rng=rng,
-    )
+    inp = ControlInput(observer_points=tuple([o.position for o in observers]),
+                       current_destinations=tuple([o.destination for o in observers]),
+                       target_eval_points=target_pts, sr=cfg.sr, rng=rng)
     if cfg.controller is ControllerKind.KMEANS:
         return kmeans_control(inp)
     # The count goes positionally: the benchmark's tracer reads it as args[1].
@@ -168,11 +165,11 @@ def run_simulation(
         if t % period == 0:
             destinations = _next_destinations(cfg, graph, targets, target_pts, observers, controller_rng)
             pairs = zip(observers, destinations)  # a kept destination comes back as the same object
-            observers = [o if d is o.destination else ObserverState(o.position, d) for o, d in pairs]
+            observers = [o if d is o.destination else _world._observer_state(o.position, d) for o, d in pairs]
         targets = [step_target(graph, s, target_rng) for s in targets]
         observers = [step_observer(o) for o in observers]
         target_pts = tuple([target_point(graph, s) for s in targets])
-        seen = observation_matrix([o.position for o in observers], target_pts, cfg.sr).any(axis=0)
+        seen = np.logical_or.reduce(observation_matrix([o.position for o in observers], target_pts, cfg.sr))
         observed = int(np.count_nonzero(seen))
         observed_sum += observed
         if record_counts:

@@ -28,8 +28,8 @@ ARENA = (150.0, 150.0)
 GRAPH_ATTEMPTS = 32
 
 #: Graphs kept for reuse by later runs with the same seed: the 20 seeds of
-#: a sweep cell fit, at about 20 KB a graph at 40 vertices and 52 KB at
-#: MAX_VERTICES.
+#: a sweep cell fit, at about 54 KB a graph with its leg table at 40
+#: vertices and 137 KB at MAX_VERTICES.
 GRAPH_MEMO = 64
 
 
@@ -84,6 +84,14 @@ class PlanarGraph:
                 raise ValueError(f"vertex {v} has degree {len(inc)} < 2")
         return cls(verts, tuple(edges), tuple(tuple(inc) for inc in incident))
 
+    @functools.cached_property
+    def _legs(self) -> tuple:
+        """Per edge (u, v, length, toward_v, toward_u); a heading is (sx, sy, ex, ey), its start and
+        its delta, rounded once as an inline dx - sx is. Not a field: == and hash ignore it."""
+        ends = [(e, self.vertices[e.u], self.vertices[e.v]) for e in self.edges]
+        return tuple((u, v, length, (ux, uy, vx - ux, vy - uy), (vx, vy, ux - vx, uy - vy))
+                     for (u, v, length), (ux, uy), (vx, vy) in ends)
+
 
 class TargetState(NamedTuple):
     """A target walking an edge: index of the edge, the endpoint it is
@@ -102,6 +110,17 @@ class ObserverState:
 
     position: tuple[float, float]
     destination: tuple[float, float]
+
+
+_set_position, _set_destination = ObserverState.position.__set__, ObserverState.destination.__set__
+
+
+def _observer_state(position, destination) -> ObserverState:
+    """ObserverState(position, destination) set through its slots, a third cheaper than __init__."""
+    state = object.__new__(ObserverState)
+    _set_position(state, position)
+    _set_destination(state, destination)
+    return state
 
 
 def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]) -> bool:
@@ -175,18 +194,17 @@ def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generat
 def target_point(graph: PlanarGraph, state: TargetState) -> tuple[float, float]:
     """Planar position of a target state on its edge, as a plain (x, y) pair."""
     edge, toward, offset, _ = state
-    u, v, length = graph.edges[edge]
+    u, v, length, toward_v, toward_u = graph._legs[edge]
     if toward == v:
-        sx, sy = graph.vertices[u]
+        sx, sy, ex, ey = toward_v
     elif toward == u:
-        sx, sy = graph.vertices[v]
+        sx, sy, ex, ey = toward_u
     else:
         raise ValueError(f"state heads toward vertex {toward}, not an endpoint of edge {edge}")
     if not 0.0 <= offset <= length:
         raise ValueError(f"offset {offset} outside [0, {length}] on edge {edge}")
-    dx, dy = graph.vertices[toward]
     f = offset / length
-    return (sx + f * (dx - sx), sy + f * (dy - sy))
+    return (sx + f * ex, sy + f * ey)
 
 
 def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator) -> TargetState:
@@ -226,9 +244,9 @@ def step_observer(state: ObserverState) -> ObserverState:
     dy = qy - py
     gap = math.hypot(dx, dy)
     if gap <= 1.0:
-        return ObserverState(destination, destination)
+        return _observer_state(destination, destination)
     f = 1.0 / gap
-    return ObserverState((px + f * dx, py + f * dy), destination)
+    return _observer_state((px + f * dx, py + f * dy), destination)
 
 
 def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tuple[float, float]:

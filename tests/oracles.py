@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 XY = tuple[float, float]
 
 
@@ -184,6 +186,17 @@ def target_point_scalar(vertices: Sequence[XY], edges, state) -> XY:
     return (sx + f * (dx - sx), sy + f * (dy - sy))
 
 
+def predict_target_scalar(vertices: Sequence[XY], edges, state, horizon: int) -> XY:
+    """Position ``horizon`` steps ahead along the current edge, held at the
+    vertex it heads toward once the projection reaches it."""
+    edge, toward, offset, speed = state
+    offset = offset + speed * horizon
+    length = edges[edge][2]
+    if offset > length:
+        offset = length
+    return target_point_scalar(vertices, edges, (edge, toward, offset, speed))
+
+
 def step_target_scalar(edges, adjacency, state, rng):
     """One random-walk step: move ``speed`` along the edge, and at each
     vertex reached pick the next edge uniformly among its incident edges
@@ -214,3 +227,33 @@ def step_observer_scalar(position: XY, destination: XY) -> tuple[XY, XY]:
         return destination, destination
     f = 1.0 / gap
     return (px + f * (qx - px), py + f * (qy - py)), destination
+
+
+# -- k-means ------------------------------------------------------------------
+
+
+def kmeans_lloyd_reference(targets: np.ndarray, observers: np.ndarray, max_iters: int, tol: float):
+    """Lloyd's rounds from the observers' positions, one cluster per observer,
+    stopping only on a largest centroid shift below ``tol`` or after
+    ``max_iters`` rounds. An empty cluster keeps its centroid. The arithmetic
+    is the controller's, op for op, so the two must agree bit for bit.
+    Returns the centroids and the number of rounds run."""
+    centroids = np.array(observers, dtype=float)
+    pts = np.array(targets, dtype=float)
+    rounds = 0
+    for _ in range(max_iters):
+        rounds += 1
+        dx = pts[:, 0, None] - centroids[:, 0]
+        dy = pts[:, 1, None] - centroids[:, 1]
+        assign = np.argmin(dx * dx + dy * dy, axis=1)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, pts)
+        sizes = np.bincount(assign, minlength=len(centroids))
+        moved = centroids.copy()
+        nonempty = sizes > 0
+        moved[nonempty] = sums[nonempty] / sizes[nonempty, None]
+        shift = float(np.sqrt(((moved - centroids) ** 2).sum(axis=1)).max())
+        centroids = moved
+        if shift < tol:
+            break
+    return centroids, rounds

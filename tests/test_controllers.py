@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from ctosim import controllers
 from ctosim.controllers import (
+    KMEANS_MAX_ITERS,
+    KMEANS_TOL,
     PERTURB_MAG,
     ControlInput,
     ControllerKind,
@@ -35,7 +37,7 @@ from ctosim.world import (
     random_target_state,
     target_point,
 )
-from oracles import observed_count_loops
+from oracles import kmeans_lloyd_reference, observed_count_loops
 
 
 def _pts(rows):
@@ -587,3 +589,58 @@ class TestKmeans:
             out = kmeans_control(_mk_input(obs.tolist(), tgt.tolist(), 15.0, 0))
             want = reference(tgt, obs)
             assert np.allclose(_as_rows(out), want, atol=1e-9)
+
+
+def _kmeans_hex(targets, observers):
+    """The controller's and the reference loop's centroids as hex strings,
+    and the reference's round count."""
+    out = kmeans_control(_mk_input(observers.tolist(), targets.tolist(), 15.0, 0))
+    want, rounds = kmeans_lloyd_reference(targets, observers, KMEANS_MAX_ITERS, KMEANS_TOL)
+    got = [(p.x.hex(), p.y.hex()) for p in out]
+    return got, [(float(x).hex(), float(y).hex()) for x, y in want], rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_obs=st.integers(min_value=1, max_value=12),
+    n_tgt=st.integers(min_value=1, max_value=40),
+    layout=st.sampled_from(["uniform", "grid", "coincident", "clumps"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kmeans_equals_the_loop_without_the_early_exit(n_obs, n_tgt, layout, seed):
+    rng = np.random.default_rng(seed)
+    observers = rng.uniform(0.0, 150.0, size=(n_obs, 2))
+    targets = rng.uniform(0.0, 150.0, size=(n_tgt, 2))
+    if layout == "grid":  # a coarse grid: equal distances, so argmin ties
+        observers, targets = np.round(observers / 25.0) * 25.0, np.round(targets / 25.0) * 25.0
+    elif layout == "coincident":  # every target on one point: all clusters but one are empty
+        targets[:] = targets[0]
+    elif layout == "clumps":  # a few tight clumps: clusters empty out and merge
+        centres = rng.uniform(0.0, 150.0, size=(3, 2))
+        targets = centres[rng.integers(3, size=n_tgt)] + rng.normal(0.0, 0.5, size=(n_tgt, 2))
+    got, want, rounds = _kmeans_hex(targets, observers)
+    event(f"rounds {min(rounds, 10)}{'+' if rounds >= 10 else ''}")
+    assert got == want
+
+
+def _slow_lloyd_line(heavy=5, tail=60, chain=60, gap=0.05):
+    """Targets on the line y = 75: ``heavy`` at x = 0, ``tail`` at x = 150 and
+    ``chain`` between them, placed (by a damped fixed-point iteration) so
+    that the cluster boundary of each Lloyd round sits ``gap`` beyond the
+    next chain target: the left cluster takes about one target a round."""
+    x = np.linspace(1.0, 75.0, chain)
+    for _ in range(200):
+        bounds = [
+            (np.concatenate([np.zeros(heavy), x[:k]]).mean() + np.concatenate([x[k:], np.full(tail, 150.0)]).mean()) / 2
+            for k in range(chain)
+        ]
+        x = 0.5 * x + 0.5 * (np.array(bounds) - gap)
+    xs = np.concatenate([np.zeros(heavy), x, np.full(tail, 150.0)])
+    return np.stack([xs, np.full(len(xs), 75.0)], axis=1), np.array([[0.0, 75.0], [150.0, 75.0]])
+
+
+def test_kmeans_equals_the_loop_when_it_runs_every_round():
+    targets, observers = _slow_lloyd_line()
+    got, want, rounds = _kmeans_hex(targets, observers)
+    assert rounds == KMEANS_MAX_ITERS
+    assert got == want

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,30 @@ def test_an_int_too_long_to_print_is_shown_by_its_size(field):
     with pytest.raises(ValueError) as caught:
         SimConfig(**{field: value})
     assert str(caught.value) == message
+
+
+# A Fraction prints its numerator and denominator, so one of more than 4300
+# digits raised the same "Exceeds the limit" error; it is shown by bit counts.
+FRACTION_MESSAGES = {
+    "ur": (Fraction(1, 10**5000), "update rate a fraction of a 1-bit numerator over a 16610-bit denominator"
+           " is too small: 1/ur is not finite"),
+    "sr": (Fraction(10**5000, 3), "sr must be a finite number > 0, got a fraction of a 16610-bit numerator"
+           " over a 2-bit denominator"),
+    "rv": (Fraction(-(10**5000), 3), "rv must be a finite number in (0, 212.132], got a fraction of a"
+           " 16610-bit numerator over a 2-bit denominator"),
+    "steps": (Fraction(10**5000, 3), "steps must be an integer, got a fraction of a 16610-bit numerator"
+              " over a 2-bit denominator"),
+}
+
+
+@pytest.mark.parametrize("field", FRACTION_MESSAGES)
+def test_a_fraction_too_long_to_print_is_shown_by_its_size(field):
+    value, message = FRACTION_MESSAGES[field]
+    with pytest.raises(ValueError) as caught:
+        SimConfig(**{field: value})
+    assert str(caught.value) == message
+
+
+def test_a_fraction_in_the_float_range_is_shown_as_is():
+    with pytest.raises(ValueError, match=r"got Fraction\(-1, 3\)$"):
+        SimConfig(sr=Fraction(-1, 3))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -27,7 +28,13 @@ from ctosim.world import (
     step_target,
     target_point,
 )
-from oracles import segments_cross, step_observer_scalar, step_target_scalar, target_point_scalar
+from oracles import (
+    predict_target_scalar,
+    segments_cross,
+    step_observer_scalar,
+    step_target_scalar,
+    target_point_scalar,
+)
 
 
 def triangle_graph() -> PlanarGraph:
@@ -336,6 +343,48 @@ class TestStepObserver:
         assert math.isclose(math.hypot(*s.position), 1.0, rel_tol=1e-12)
 
 
+class TestObserverStateBuild:
+    """step_observer and the engine build states through the slots, not the
+    frozen class's __init__: the result must be the same frozen state."""
+
+    def test_equals_the_constructed_state(self):
+        position, destination = (1.5, 2.0), Point(3.0, 4.0)
+        built = world._observer_state(position, destination)
+        assert type(built) is ObserverState
+        assert built == ObserverState(position, destination)
+        assert hash(built) == hash(ObserverState(position, destination))
+        assert built.position is position and built.destination is destination
+
+    def test_is_frozen(self):
+        built = world._observer_state((1.5, 2.0), (3.0, 4.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.position = (0.0, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.destination = (0.0, 0.0)
+
+    def test_replace_builds_a_new_state(self):
+        built = world._observer_state((1.5, 2.0), (3.0, 4.0))
+        moved = dataclasses.replace(built, position=(2.5, 2.0))
+        assert moved == ObserverState((2.5, 2.0), (3.0, 4.0))
+        assert built.position == (1.5, 2.0)
+
+    @pytest.mark.parametrize("destination", [Point(10.0, 0.0), Point(0.6, 0.8), Point(0.0, 0.0)])
+    def test_step_observer_returns_observer_states(self, destination):
+        state = ObserverState(Point(0.0, 0.0), destination)
+        for _ in range(3):
+            state = step_observer(state)
+            assert type(state) is ObserverState
+
+
+class TestLegTable:
+    def test_is_not_a_field(self):
+        g = generate_random_graph(20, 3)
+        assert g._legs  # built, and kept on the instance
+        fresh = world._build_graph.__wrapped__(20, 3)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert "_legs" not in {f.name for f in dataclasses.fields(PlanarGraph)}
+
+
 class TestPredictTarget:
     def test_horizon_zero_matches_current_position(self):
         g = generate_random_graph(12, 7)
@@ -460,3 +509,25 @@ def test_observer_world_step_equals_the_scalar_oracle(x, y, gap, angle):
             plain = step_observer_scalar(*plain)
             assert isinstance(state, ObserverState)
             assert (_hex(state.position), _hex(state.destination)) == (_hex(plain[0]), _hex(plain[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    which=st.sampled_from(["random", "short", "wheel"]),
+    edge=st.integers(min_value=0, max_value=10_000),
+    frac=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    head=st.booleans(),
+    speed_frac=st.floats(min_value=1e-6, max_value=4.0),
+    horizon=st.one_of(st.just(0), st.integers(min_value=1, max_value=30), st.integers(min_value=1000, max_value=10**9)),
+)
+def test_predict_target_equals_the_scalar_oracle(which, edge, frac, head, speed_frac, horizon):
+    g = {"random": _property_graph, "short": _short_edge_graph, "wheel": lambda: wheel_graph(6)}[which]()
+    longest = max(e.length for e in g.edges)
+    ei = edge % len(g.edges)
+    e = g.edges[ei]
+    # frac 1.0 puts the target exactly on the vertex it heads toward; the
+    # large horizons overshoot it, so the projection is held there
+    s = TargetState(ei, e.v if head else e.u, e.length if frac == 1.0 else frac * e.length, speed_frac * longest)
+    point = predict_target(g, s, horizon)
+    assert _plain_pair(point)
+    assert _hex(point) == _hex(predict_target_scalar(g.vertices, g.edges, tuple(s), horizon))
