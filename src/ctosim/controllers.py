@@ -192,8 +192,9 @@ def kmeans_control(inp: ControlInput) -> list[Point]:
     last = None
     for _ in range(KMEANS_MAX_ITERS):
         assign = np.argmin(squared_distances(pts, centroids), axis=1)
+        key = assign.tobytes()
         # a repeat would give the same sums in the same order: the same centroids
-        if assign.tobytes() == last:
+        if key == last:
             break
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, pts)
@@ -203,7 +204,7 @@ def kmeans_control(inp: ControlInput) -> list[Point]:
         moved[nonempty] = sums[nonempty] / sizes[nonempty, None]
         # sqrt is correctly rounded and monotone, so this is the largest root
         shift = math.sqrt(float(((moved - centroids) ** 2).sum(axis=1).max()))
-        centroids, last = moved, assign.tobytes()
+        centroids, last = moved, key
         if shift < KMEANS_TOL:
             break
     return _rows_to_points(centroids)

@@ -18,10 +18,9 @@ from typing import ClassVar
 
 import numpy as np
 
-# The rules and the observer-state build are called through their modules:
-# the benchmark's tracer wraps every ctosim function the engine imports by name.
+# The rules are called through their module: the benchmark's tracer wraps
+# every ctosim function that the engine imports by name.
 from . import _rules
-from . import world as _world
 from .controllers import (
     N_CANDIDATES,
     ControlInput,
@@ -117,9 +116,13 @@ def _next_destinations(
     observers: list[ObserverState],
     rng: np.random.Generator,
 ) -> list[Point]:
-    inp = ControlInput(observer_points=tuple([o.position for o in observers]),
-                       current_destinations=tuple([o.destination for o in observers]),
-                       target_eval_points=target_pts, sr=cfg.sr, rng=rng)
+    inp = ControlInput(
+        observer_points=tuple([o.position for o in observers]),
+        current_destinations=tuple([o.destination for o in observers]),
+        target_eval_points=target_pts,
+        sr=cfg.sr,
+        rng=rng,
+    )
     if cfg.controller is ControllerKind.KMEANS:
         return kmeans_control(inp)
     # The count goes positionally: the benchmark's tracer reads it as args[1].
@@ -165,7 +168,7 @@ def run_simulation(
         if t % period == 0:
             destinations = _next_destinations(cfg, graph, targets, target_pts, observers, controller_rng)
             pairs = zip(observers, destinations)  # a kept destination comes back as the same object
-            observers = [o if d is o.destination else _world._observer_state(o.position, d) for o, d in pairs]
+            observers = [o if d is o.destination else ObserverState(o.position, d) for o, d in pairs]
         targets = [step_target(graph, s, target_rng) for s in targets]
         observers = [step_observer(o) for o in observers]
         target_pts = tuple([target_point(graph, s) for s in targets])

@@ -28,8 +28,8 @@ ARENA = (150.0, 150.0)
 GRAPH_ATTEMPTS = 32
 
 #: Graphs kept for reuse by later runs with the same seed: the 20 seeds of
-#: a sweep cell fit, at about 54 KB a graph with its leg table at 40
-#: vertices and 137 KB at MAX_VERTICES.
+#: a sweep cell fit, at about 40 KB a graph with its leg table at 40
+#: vertices and 105 KB at MAX_VERTICES.
 GRAPH_MEMO = 64
 
 
@@ -86,10 +86,10 @@ class PlanarGraph:
 
     @functools.cached_property
     def _legs(self) -> tuple:
-        """Per edge (u, v, length, toward_v, toward_u); a heading is (sx, sy, ex, ey), its start and
-        its delta, rounded once as an inline dx - sx is. Not a field: == and hash ignore it."""
+        """Per edge (u, v, length, ux, uy, vx, vy, ex, ey), with (ex, ey) = (vx - ux, vy - uy) rounded
+        once, as an inline dx - sx is. Not a field: == and hash ignore it."""
         ends = [(e, self.vertices[e.u], self.vertices[e.v]) for e in self.edges]
-        return tuple((u, v, length, (ux, uy, vx - ux, vy - uy), (vx, vy, ux - vx, uy - vy))
+        return tuple((u, v, length, ux, uy, vx, vy, vx - ux, vy - uy)
                      for (u, v, length), (ux, uy), (vx, vy) in ends)
 
 
@@ -104,23 +104,20 @@ class TargetState(NamedTuple):
     speed: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ObserverState:
     """An observer moving at unit speed toward its destination; both are (x, y) pairs."""
 
     position: tuple[float, float]
     destination: tuple[float, float]
 
+    def __init__(self, position: tuple[float, float], destination: tuple[float, float]) -> None:
+        # set through the slots: a third cheaper than the frozen __init__'s object.__setattr__
+        _set_position(self, position)
+        _set_destination(self, destination)
+
 
 _set_position, _set_destination = ObserverState.position.__set__, ObserverState.destination.__set__
-
-
-def _observer_state(position, destination) -> ObserverState:
-    """ObserverState(position, destination) set through its slots, a third cheaper than __init__."""
-    state = object.__new__(ObserverState)
-    _set_position(state, position)
-    _set_destination(state, destination)
-    return state
 
 
 def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]) -> bool:
@@ -194,17 +191,16 @@ def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generat
 def target_point(graph: PlanarGraph, state: TargetState) -> tuple[float, float]:
     """Planar position of a target state on its edge, as a plain (x, y) pair."""
     edge, toward, offset, _ = state
-    u, v, length, toward_v, toward_u = graph._legs[edge]
-    if toward == v:
-        sx, sy, ex, ey = toward_v
-    elif toward == u:
-        sx, sy, ex, ey = toward_u
-    else:
+    u, v, length, ux, uy, vx, vy, ex, ey = graph._legs[edge]
+    if toward != v and toward != u:
         raise ValueError(f"state heads toward vertex {toward}, not an endpoint of edge {edge}")
     if not 0.0 <= offset <= length:
         raise ValueError(f"offset {offset} outside [0, {length}] on edge {edge}")
     f = offset / length
-    return (sx + f * ex, sy + f * ey)
+    if toward == v:
+        return (ux + f * ex, uy + f * ey)
+    # u - v inline: -ex would give -0.0 in place of 0.0 where both ends sit at -0.0
+    return (vx + f * (ux - vx), vy + f * (uy - vy))
 
 
 def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator) -> TargetState:
@@ -244,9 +240,9 @@ def step_observer(state: ObserverState) -> ObserverState:
     dy = qy - py
     gap = math.hypot(dx, dy)
     if gap <= 1.0:
-        return _observer_state(destination, destination)
+        return ObserverState(destination, destination)
     f = 1.0 / gap
-    return _observer_state((px + f * dx, py + f * dy), destination)
+    return ObserverState((px + f * dx, py + f * dy), destination)
 
 
 def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tuple[float, float]:

@@ -344,26 +344,37 @@ class TestStepObserver:
 
 
 class TestObserverStateBuild:
-    """step_observer and the engine build states through the slots, not the
-    frozen class's __init__: the result must be the same frozen state."""
+    """ObserverState's own __init__ sets the two slots directly, skipping the
+    frozen dataclass's object.__setattr__: it must still be a frozen value."""
 
-    def test_equals_the_constructed_state(self):
+    def test_is_a_value_built_by_position_or_keyword(self):
         position, destination = (1.5, 2.0), Point(3.0, 4.0)
-        built = world._observer_state(position, destination)
-        assert type(built) is ObserverState
-        assert built == ObserverState(position, destination)
-        assert hash(built) == hash(ObserverState(position, destination))
+        built = ObserverState(position, destination)
         assert built.position is position and built.destination is destination
+        assert built == ObserverState(destination=Point(3.0, 4.0), position=(1.5, 2.0))
+        assert hash(built) == hash(ObserverState((1.5, 2.0), (3.0, 4.0)))
+        assert built != ObserverState(destination, position)
+        assert repr(built) == "ObserverState(position=(1.5, 2.0), destination=Point(x=3.0, y=4.0))"
+
+    def test_takes_exactly_the_two_fields(self):
+        with pytest.raises(TypeError):
+            ObserverState((1.5, 2.0))
+        with pytest.raises(TypeError):
+            ObserverState((1.5, 2.0), (3.0, 4.0), (5.0, 6.0))
+        with pytest.raises(TypeError):
+            ObserverState(position=(1.5, 2.0), target=(3.0, 4.0))
 
     def test_is_frozen(self):
-        built = world._observer_state((1.5, 2.0), (3.0, 4.0))
+        built = ObserverState((1.5, 2.0), (3.0, 4.0))
         with pytest.raises(dataclasses.FrozenInstanceError):
             built.position = (0.0, 0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             built.destination = (0.0, 0.0)
+        with pytest.raises((AttributeError, TypeError)):
+            built.speed = 1.0
 
     def test_replace_builds_a_new_state(self):
-        built = world._observer_state((1.5, 2.0), (3.0, 4.0))
+        built = ObserverState((1.5, 2.0), (3.0, 4.0))
         moved = dataclasses.replace(built, position=(2.5, 2.0))
         assert moved == ObserverState((2.5, 2.0), (3.0, 4.0))
         assert built.position == (1.5, 2.0)
@@ -383,6 +394,17 @@ class TestLegTable:
         fresh = world._build_graph.__wrapped__(20, 3)
         assert g == fresh and hash(g) == hash(fresh)
         assert "_legs" not in {f.name for f in dataclasses.fields(PlanarGraph)}
+
+    def test_keeps_the_sign_of_a_zero_coordinate(self):
+        # Both ends of edge 0 sit at x = -0.0 and both ends of edge 3 at y = -0.0:
+        # an inline -0.0 - -0.0 is 0.0, so a position on them has that coordinate 0.0.
+        verts = [Point(-0.0, 0.0), Point(-0.0, 10.0), Point(5.0, -0.0), Point(-5.0, -0.0)]
+        g = PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
+        for edge, (u, v, length) in enumerate(g.edges):
+            for toward in (u, v):
+                for offset in (0.0, length / 3, length):
+                    s = TargetState(edge, toward, offset, 1.0)
+                    assert _hex(target_point(g, s)) == _hex(target_point_scalar(g.vertices, g.edges, s))
 
 
 class TestPredictTarget:
