@@ -105,7 +105,7 @@ def update_period(ur: float) -> int:
     period = 1.0 / ur if float(ur) else math.inf  # float(Fraction(1, 10**400)) is 0.0
     if not math.isfinite(period):
         raise ValueError(f"update rate {_rules._shown(ur)} is too small: 1/ur is not finite")
-    return max(1, int(round(period)))
+    return round(period)
 
 
 def _next_destinations(

@@ -22,14 +22,6 @@ class Point(NamedTuple):
     y: float
 
 
-class Triangle(NamedTuple):
-    """Three vertex indices into a point sequence."""
-
-    a: int
-    b: int
-    c: int
-
-
 class TriangulationError(ValueError):
     """The input point set has no valid triangulation."""
 
@@ -39,7 +31,7 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def delaunay_triangulate(points: Sequence[Point]) -> list[Triangle]:
+def delaunay_triangulate(points: Sequence[Point]) -> list[tuple[int, int, int]]:
     """Delaunay triangulation of a point set, by brute force over all triples.
 
     The lifting map (x, y) -> (x, y, x² + y²) turns "no point strictly inside
@@ -86,7 +78,7 @@ def delaunay_triangulate(points: Sequence[Point]) -> list[Triangle]:
     # there could lie on either side, and so could the diagonal it implies.
     if np.any(touching[empty] > 3):
         raise TriangulationError("four points lie on one circle within rounding error")
-    triangles = [Triangle(*t) for t in zip(k[empty].tolist(), j[empty].tolist(), i[empty].tolist())]
+    triangles = list(zip(k[empty].tolist(), j[empty].tolist(), i[empty].tolist()))
     # A triangulated disc has V - E + T = 1; a hole left by a flat triple
     # that was a Delaunay triangle breaks it.
     if n - len(triangulation_edges(triangles)) + len(triangles) != 1:
@@ -94,10 +86,10 @@ def delaunay_triangulate(points: Sequence[Point]) -> list[Triangle]:
     return triangles
 
 
-def triangulation_edges(triangles: Sequence[Triangle]) -> list[tuple[int, int]]:
+def triangulation_edges(triangles: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
     """Sorted unique undirected edges (u < v) of a triangle set."""
     edges = set()
-    for t in triangles:
-        for u, v in ((t.a, t.b), (t.b, t.c), (t.c, t.a)):
+    for a, b, c in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
             edges.add((u, v) if u < v else (v, u))
     return sorted(edges)

@@ -50,7 +50,8 @@ class SweepSpec:
 
     ``varied`` names the swept parameter; ``values`` defaults to that
     parameter's standard set. ``base`` supplies every non-swept setting
-    (its defaults are the benchmark medians). Each cell runs
+    (its defaults are the benchmark medians) but the seed and the
+    controller, which must keep SimConfig's defaults. Each cell runs
     ``runs_per_cell`` times with seeds base_seed, base_seed + 1, ...
     """
 
@@ -83,6 +84,10 @@ class SweepSpec:
                 raise ValueError(f"{name} must not repeat, got {items!r}")
         if not isinstance(self.base, SimConfig):
             raise ValueError(f"base must be a SimConfig, got {self.base!r}")
+        if self.base.seed != SimConfig.seed:
+            raise ValueError(f"set seeds with base_seed, not base.seed (got {self.base.seed})")
+        if self.base.controller != SimConfig.controller:
+            raise ValueError(f"set controllers, not base.controller (got {self.base.controller})")
         _rules.integer("runs_per_cell", self.runs_per_cell, 1, MAX_RUNS_PER_CELL)
         _rules.integer("base_seed", self.base_seed, 0)
 
@@ -173,14 +178,17 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
 
 def _fmt_value(v: float) -> str:
-    return f"{v:g}"
+    """The shortest text that reads back as the same float, without a trailing ".0"."""
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
     """Write per-run and summary CSVs for a sweep; returns their paths.
 
-    Files are UTF-8 with LF line endings; floating-point statistics carry
-    six digits after the decimal point.
+    Files are UTF-8 with LF line endings; the settings are written as the
+    shortest text that reads back as the same float, and floating-point
+    statistics carry six digits after the decimal point.
     """
     if not result.records:
         raise ValueError("sweep produced no records; nothing to write")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -50,7 +49,12 @@ class PlanarGraph:
     """Connected planar graph embedded in the arena.
 
     ``adjacency[v]`` lists indices into ``edges`` for every edge incident to
-    vertex v. Every vertex has degree >= 2.
+    vertex v. ``from_index_pairs``, the one constructor, checks that the
+    graph has a vertex, that every edge joins two distinct existing
+    vertices at a finite positive distance, once, that every vertex has
+    degree >= 2, and that every vertex is reachable from vertex 0. It does
+    not check that edges do not cross or that vertices lie in the arena: a
+    hand-made graph may break both, a generated one has both.
     """
 
     vertices: tuple[Point, ...]
@@ -61,6 +65,8 @@ class PlanarGraph:
     def from_index_pairs(cls, vertices: Sequence[Point], pairs: Sequence[tuple[int, int]]) -> "PlanarGraph":
         verts = tuple(Point(float(p[0]), float(p[1])) for p in vertices)
         n = len(verts)
+        if n == 0:
+            raise ValueError("graph has no vertices")
         seen: set[tuple[int, int]] = set()
         edges: list[GraphEdge] = []
         incident: list[list[int]] = [[] for _ in range(n)]
@@ -74,14 +80,23 @@ class PlanarGraph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
             length = distance(verts[u], verts[v])
-            if length <= 0.0:
-                raise ValueError(f"zero-length edge ({u}, {v})")
+            if not 0.0 < length < math.inf:  # a nan or inf coordinate gives a nan or inf length
+                raise ValueError(f"edge ({u}, {v}) is zero-length or not finite: length {length}")
             incident[u].append(len(edges))
             incident[v].append(len(edges))
             edges.append(GraphEdge(u, v, length))
         for v, inc in enumerate(incident):
             if len(inc) < 2:
                 raise ValueError(f"vertex {v} has degree {len(inc)} < 2")
+        reached, frontier = {0}, [0]
+        while frontier:
+            for ei in incident[frontier.pop()]:
+                for w in edges[ei][:2]:
+                    if w not in reached:
+                        reached.add(w)
+                        frontier.append(w)
+        if len(reached) < n:
+            raise ValueError(f"graph is disconnected: vertex 0 reaches {len(reached)} of {n} vertices")
         return cls(verts, tuple(edges), tuple(tuple(inc) for inc in incident))
 
     @functools.cached_property
@@ -120,35 +135,17 @@ class ObserverState:
 _set_position, _set_destination = ObserverState.position.__set__, ObserverState.destination.__set__
 
 
-def _is_connected(adjacency: Sequence[Sequence[int]], edges: Sequence[GraphEdge]) -> bool:
-    n = len(adjacency)
-    if n == 0:
-        return False
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for ei in adjacency[v]:
-            e = edges[ei]
-            w = e.v if e.u == v else e.u
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return all(seen)
-
-
 def generate_random_graph(n_vertices: int, seed: int) -> PlanarGraph:
     """Delaunay triangulation of points drawn uniformly over the ARENA.
 
     The graph is a function of its arguments: the points come from the
     seed's graph stream, ``default_rng(SeedSequence(seed, spawn_key=(0,)))``,
     child 0 of the run's ``SeedSequence(seed).spawn(4)``, which nothing else
-    draws from. Draws n_vertices points, triangulates, and validates the
-    result (connectivity, minimum degree). A draw that cannot be
-    triangulated uniquely (points on one circle or one line, within
-    rounding error) or fails validation is replaced by a fresh draw of the
-    full set. Raises GraphGenerationError after GRAPH_ATTEMPTS
+    draws from. Draws n_vertices points, triangulates them, and builds the
+    graph with PlanarGraph.from_index_pairs, which checks it. A draw that
+    cannot be triangulated uniquely (points on one circle or one line,
+    within rounding error) or that the constructor rejects is replaced by a
+    fresh draw of the full set. Raises GraphGenerationError after GRAPH_ATTEMPTS
     attempts, ValueError for fewer than 3 or more than MAX_VERTICES
     vertices or a seed that is not an integer >= 0.
 
@@ -168,13 +165,11 @@ def generate_random_graph(n_vertices: int, seed: int) -> PlanarGraph:
 def _build_graph(n_vertices: int, seed: int) -> PlanarGraph:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     for _ in range(GRAPH_ATTEMPTS):
-        points = [Point(float(x), float(y)) for x, y in rng.uniform(0.0, ARENA, size=(n_vertices, 2))]
+        points = rng.uniform(0.0, ARENA, size=(n_vertices, 2))
         try:  # TriangulationError is a ValueError
-            graph = PlanarGraph.from_index_pairs(points, triangulation_edges(delaunay_triangulate(points)))
+            return PlanarGraph.from_index_pairs(points, triangulation_edges(delaunay_triangulate(points)))
         except ValueError:
             continue
-        if _is_connected(graph.adjacency, graph.edges):
-            return graph
     raise GraphGenerationError(f"no valid graph after {GRAPH_ATTEMPTS} attempts")
 
 

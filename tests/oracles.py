@@ -62,7 +62,8 @@ def delaunay_violations(points: Sequence[XY], triangles) -> list[tuple[int, int]
     bad = []
     for ti, tri in enumerate(triangles):
         corners = set(tri)
-        ux, uy, r2 = circumcircle_center(points[tri.a], points[tri.b], points[tri.c])
+        a, b, c = tri
+        ux, uy, r2 = circumcircle_center(points[a], points[b], points[c])
         for pi, (px, py) in enumerate(points):
             if pi in corners:
                 continue

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ctosim.engine import SimConfig
 from ctosim.geometry import (
     Point,
-    Triangle,
     TriangulationError,
     delaunay_triangulate,
     distance,
@@ -124,7 +123,7 @@ class TestDelaunayTriangulate:
         pts = _random_points(rng, 25)
         tris = delaunay_triangulate(pts)
         raw = [(p.x, p.y) for p in pts]
-        total = sum(triangle_area(raw[t.a], raw[t.b], raw[t.c]) for t in tris)
+        total = sum(triangle_area(raw[a], raw[b], raw[c]) for a, b, c in tris)
         hull_area = polygon_area(convex_hull(raw))
         assert math.isclose(total, hull_area, rel_tol=1e-9)
 
@@ -144,7 +143,7 @@ class TestDelaunayTriangulate:
 
 
 def test_triangulation_edges_sorted_unique():
-    tris = [Triangle(2, 0, 1), Triangle(1, 2, 3)]
+    tris = [(2, 0, 1), (1, 2, 3)]
     assert triangulation_edges(tris) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import subprocess
 import sys
 from decimal import Decimal
@@ -13,7 +14,7 @@ import pytest
 import ctosim.harness as harness
 import ctosim.world as world
 from ctosim.controllers import ControllerKind
-from ctosim.engine import SimConfig
+from ctosim.engine import SimConfig, run_simulation
 from ctosim.harness import (
     ALL_CONTROLLERS,
     RV_VALUES,
@@ -105,6 +106,16 @@ class TestSweepSpec:
         # with a bare TypeError from dataclasses.replace
         with pytest.raises(ValueError, match=message):
             SweepSpec(varied="sr", **overrides)
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [(SimConfig(seed=7), "base_seed"), (SimConfig(controller=ControllerKind.KMEANS), "controllers")],
+    )
+    def test_rejects_a_base_seed_or_controller_the_sweep_would_override(self, base, message):
+        # run_sweep sets each run's seed and controller, so base=SimConfig(seed=7)
+        # ran seeds 0, 1, ... without a word
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(varied="sr", base=base)
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs_per_cell"):
@@ -297,6 +308,24 @@ class TestEmitCsv:
         assert first[6] == "0"
         float(first[7])  # rho parses
         assert len(first[7].split(".")[1]) == 6
+
+    def test_settings_read_back_exactly(self, tmp_path):
+        # :g kept six digits, writing 12.3457 and 0.333333
+        base = dataclasses.replace(SMALL_BASE, sr=12.3456789, ur=1 / 3)
+        spec = small_spec(varied="rv", values=(0.1,), runs_per_cell=1, base=base)
+        runs_path, _ = emit_csv(run_sweep(spec), tmp_path)
+        with open(runs_path, encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["sr"], row["rv"], row["ur"]) == ("12.3456789", "0.1", "0.3333333333333333")
+        again = dataclasses.replace(
+            base,
+            sr=float(row["sr"]),
+            rv=float(row["rv"]),
+            ur=float(row["ur"]),
+            seed=int(row["seed"]),
+            controller=ControllerKind.parse(row["controller"]),
+        )
+        assert f"{run_simulation(again).rho:.6f}" == row["rho"]
 
     def test_summary_rows(self, emitted):
         result, _, summary_path = emitted

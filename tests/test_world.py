@@ -81,9 +81,27 @@ class TestPlanarGraphValidation:
         with pytest.raises(ValueError, match="degree"):
             PlanarGraph.from_index_pairs(self.verts, [(0, 1), (1, 2)])
 
+    def test_disconnected(self):
+        # two disjoint triangles: every vertex has degree 2
+        verts = self.verts + [Point(50.0, 0.0), Point(60.0, 0.0), Point(60.0, 30.0)]
+        pairs = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        with pytest.raises(ValueError, match="disconnected"):
+            PlanarGraph.from_index_pairs(verts, pairs)
+
+    def test_no_vertices(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            PlanarGraph.from_index_pairs([], [])
+
     def test_zero_length_edge(self):
         verts = [Point(0.0, 0.0), Point(0.0, 0.0), Point(10.0, 30.0)]
         with pytest.raises(ValueError, match="zero-length"):
+            PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_vertex_not_finite(self, x):
+        # such a graph was accepted, with nan or inf edge lengths
+        verts = [Point(0.0, 0.0), Point(10.0, 0.0), Point(x, 30.0)]
+        with pytest.raises(ValueError, match="not finite"):
             PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
 
 
@@ -144,6 +162,27 @@ class TestGenerateRandomGraph:
         with pytest.raises(GraphGenerationError):
             generate_random_graph(5, 0)
         assert len(calls) == GRAPH_ATTEMPTS
+
+    def test_retries_a_disconnected_draw(self, monkeypatch):
+        calls = []
+
+        def disjoint_first(triangles):
+            calls.append(triangles)
+            if len(calls) == 1:
+                return [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+            return real(triangles)
+
+        real = world.triangulation_edges
+        world._build_graph.cache_clear()
+        monkeypatch.setattr(world, "triangulation_edges", disjoint_first)
+        try:
+            g = generate_random_graph(6, 0)
+        finally:
+            world._build_graph.cache_clear()  # g is the seed's second draw
+        assert len(calls) == 2
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0,)))
+        rng.uniform(0.0, 150.0, size=(6, 2))
+        assert [list(p) for p in g.vertices] == rng.uniform(0.0, 150.0, size=(6, 2)).tolist()
 
     def test_draws_the_seeds_graph_stream(self):
         # the key-0 stream the engine gave the graph before the memo, so
