@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +77,8 @@ class ControlInput:
 
 
 def _rows_to_points(rows: np.ndarray) -> list[Point]:
-    return list(map(Point._make, rows.tolist()))
+    # rows is always (N, 2): Point._make's frame and length check add nothing
+    return list(map(tuple.__new__, repeat(Point, len(rows)), rows.tolist()))
 
 
 def _covered_counts(sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndarray:
@@ -102,8 +103,9 @@ def _covered_counts(sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndar
     nearest *= nearest
     # (target, observer) pairs in target order, so each target's pairs are
     # one run of rows below; a run starts where the target changes
-    pair_target, pair_observer = np.nonzero((nearest[0] + nearest[1]).T <= sr * sr)
-    starts = np.ones(len(pair_target), dtype=bool)
+    pair_target, pair_observer = ((nearest[0] + nearest[1]).T <= sr * sr).nonzero()
+    starts = np.empty(len(pair_target), dtype=bool)
+    starts[:1] = True
     np.not_equal(pair_target[1:], pair_target[:-1], out=starts[1:])
     dx = by_coord[0, pair_observer]
     dx -= targets[pair_target, 0, None]
@@ -113,7 +115,7 @@ def _covered_counts(sets: np.ndarray, targets: np.ndarray, sr: float) -> np.ndar
     dy *= dy
     dx += dy
     seen = np.packbits(dx <= sr * sr, axis=1)  # sets eight to a byte: the OR loops over bytes
-    covered = np.bitwise_or.reduceat(seen, np.flatnonzero(starts), axis=0)
+    covered = np.bitwise_or.reduceat(seen, starts.nonzero()[0], axis=0)
     return np.unpackbits(covered, axis=1, count=len(sets)).sum(axis=0)
 
 
@@ -134,16 +136,15 @@ def _hc_family(
     candidates -= PERTURB_MAG
     candidates += base
     np.maximum(candidates, 0.0, out=candidates)
-    for k in (0, 1):  # one scalar bound per axis: a tuple bound is broadcast, at nearly twice the cost
-        np.minimum(candidates[..., k], ARENA[k], out=candidates[..., k])
+    np.minimum(candidates, ARENA[0], out=candidates)  # the arena is square: one scalar bound is exact
     counts = _covered_counts(sets, targets, inp.sr)
-    pick = int(np.argmax(counts))
+    pick = int(counts.argmax())
     if pick == 0 and use_dispersion and len(base) > 1:
         # The incumbent and the candidates that tie it, first to last, in one
         # batch so that every spread has the same arithmetic.
-        tied = np.flatnonzero(counts == counts[0])
+        tied = (counts == counts[0]).nonzero()[0]
         if len(tied) > 1:
-            pick = int(tied[np.argmax(mean_pairwise_observer_distance(sets[tied]))])
+            pick = int(tied[mean_pairwise_observer_distance(sets[tied]).argmax()])
     return _rows_to_points(sets[pick]) if pick else list(inp.current_destinations)
 
 

@@ -50,8 +50,9 @@ class PlanarGraph:
 
     ``adjacency[v]`` lists indices into ``edges`` for every edge incident to
     vertex v. ``from_index_pairs``, the one constructor, checks that the
-    graph has a vertex, that every edge joins two distinct existing
-    vertices at a finite positive distance, once, that every vertex has
+    graph has a vertex, that every vertex has two coordinates, that every
+    edge joins two distinct existing vertices, named by integer indices,
+    at a finite positive distance, once, that every vertex has
     degree >= 2, and that every vertex is reachable from vertex 0. It does
     not check that edges do not cross or that vertices lie in the arena: a
     hand-made graph may break both, a generated one has both.
@@ -63,6 +64,9 @@ class PlanarGraph:
 
     @classmethod
     def from_index_pairs(cls, vertices: Sequence[Point], pairs: Sequence[tuple[int, int]]) -> "PlanarGraph":
+        for i, p in enumerate(vertices):
+            if len(p) != 2:
+                raise ValueError(f"vertex {i} has {len(p)} coordinates, not 2")
         verts = tuple(Point(float(p[0]), float(p[1])) for p in vertices)
         n = len(verts)
         if n == 0:
@@ -71,8 +75,10 @@ class PlanarGraph:
         edges: list[GraphEdge] = []
         incident: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references a missing vertex")
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                for w in (u, v):  # a bool or a float names no vertex; a numpy int is stored as an int
+                    _rules.integer(f"edge ({u}, {v}) references a missing vertex: an index", w, 0, n - 1)
+                u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
@@ -133,6 +139,7 @@ class ObserverState:
 
 
 _set_position, _set_destination = ObserverState.position.__set__, ObserverState.destination.__set__
+_new_tuple = tuple.__new__  # bound once: step_target builds a TargetState per target and step
 
 
 def generate_random_graph(n_vertices: int, seed: int) -> PlanarGraph:
@@ -208,7 +215,7 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
     """
     edge, toward, offset, speed = state
     offset += speed
-    length = graph.edges[edge].length
+    length = graph._legs[edge][2]
     while offset >= length:
         offset -= length
         incident = graph.adjacency[toward]
@@ -216,7 +223,7 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
         u, v, length = graph.edges[edge]
         toward = v if u == toward else u
     # Built without the named tuple's generated __new__, which takes twice as long.
-    return tuple.__new__(TargetState, (edge, toward, offset, speed))
+    return _new_tuple(TargetState, (edge, toward, offset, speed))
 
 
 def step_observer(state: ObserverState) -> ObserverState:
@@ -251,7 +258,7 @@ def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tupl
     _rules.horizon(horizon)
     edge, toward, offset, speed = state
     offset += speed * horizon
-    length = graph.edges[edge].length
+    length = graph._legs[edge][2]
     if offset > length:
         offset = length
     # A plain tuple in TargetState's field order: target_point only unpacks

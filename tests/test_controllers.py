@@ -220,6 +220,45 @@ class TestPerturb:
             want = np.concatenate([dests[None], dests + offsets])
             assert scored[-1].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 23])
+    def test_clip_is_generator_uniform_clipped_to_the_arena(self, monkeypatch, seed):
+        # Destinations on the arena's edges and corners, inside it near an
+        # edge, and outside it: the clip acts on many candidates.
+        w, h = ARENA
+        dests = np.array(
+            [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h), (0.0, 75.0), (w, 75.0), (75.0, 0.0), (75.0, h),
+             (w - 3.0, h - 3.0), (2.0, 140.0), (-5.0, 75.0), (75.0, h + 4.0), (w + 20.0, -20.0)]
+        )
+        scored = []
+
+        def spy(sets, targets, sr):
+            scored.append(sets.copy())
+            return np.zeros(len(sets), dtype=int)
+
+        monkeypatch.setattr(controllers, "_covered_counts", spy)
+        hc_control(_mk_input(dests, [(75.0, 75.0)], 5.0, seed), 100)
+        offsets = np.random.default_rng(seed).uniform(-PERTURB_MAG, PERTURB_MAG, size=(100,) + dests.shape)
+        want = np.concatenate([dests[None], np.clip(dests + offsets, 0.0, ARENA)])
+        assert scored[-1].tobytes() == want.tobytes()
+        clipped = scored[-1][1:]
+        assert (clipped == 0.0).any() and (clipped[..., 0] == w).any() and (clipped[..., 1] == h).any()
+
+    def test_arena_is_square(self):
+        assert ARENA[0] == ARENA[1], "the climbers clip candidates with the one scalar bound ARENA[0]"
+
+    @pytest.mark.parametrize(
+        "control",
+        [lambda inp: hc_control(inp, 100), lambda inp: hc_h_control(inp, 100), kmeans_control],
+        ids=["hc", "hc-h", "kmeans"],
+    )
+    def test_adopted_output_is_a_list_of_float_points(self, control):
+        # Neither observer sees the target; a candidate within 3 of it does.
+        base = [(75.0, 75.0), (10.0, 10.0)]
+        out = control(_mk_input(base, [(80.0, 75.0)], 3.0, 0))
+        assert out != _pts(base)
+        assert type(out) is list and len(out) == len(base)
+        assert all(type(p) is Point and type(p.x) is float and type(p.y) is float for p in out)
+
     def test_input_not_mutated(self):
         base = _pts([(10.0, 10.0)])
         inp = _mk_input(base, [(10.5, 10.0)], 5.0, 0)

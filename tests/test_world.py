@@ -104,6 +104,29 @@ class TestPlanarGraphValidation:
         with pytest.raises(ValueError, match="not finite"):
             PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
 
+    @pytest.mark.parametrize(
+        "vertex",
+        [(10.0, 30.0, 5.0), (10.0,)],
+        ids=["three coordinates", "one coordinate"],
+    )
+    def test_vertex_without_two_coordinates(self, vertex):
+        # three coordinates were truncated and accepted; one raised IndexError
+        verts = self.verts[:2] + [vertex]
+        with pytest.raises(ValueError, match="vertex 2 has"):
+            PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
+
+    @pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+    def test_index_not_an_integer(self, index):
+        # 1.0 raised TypeError; True was stored as a vertex number
+        with pytest.raises(ValueError, match="an index must be an integer"):
+            PlanarGraph.from_index_pairs(self.verts, [(0, index), (1, 2), (0, 2)])
+
+    def test_numpy_indices_stored_as_int(self):
+        pairs = [(np.int64(0), np.int32(1)), (np.intp(1), 2), (0, np.uint8(2))]
+        g = PlanarGraph.from_index_pairs(self.verts, pairs)
+        assert g.edges == triangle_graph().edges
+        assert all(type(i) is int for e in g.edges for i in e[:2])
+
 
 class TestGenerateRandomGraph:
     def test_shape_and_bounds(self):
