@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import numbers
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -133,14 +132,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
     With jobs > 1 runs are distributed over worker processes, never more
     than there are runs; results are merged back in seed order, so the
-    output is identical either way. Raises ValueError unless jobs is an
-    integer from 1 to MAX_JOBS.
+    output is identical either way. The process pool, and the
+    multiprocessing package under it, is imported only when more than one
+    worker runs. Raises ValueError unless jobs is an integer from 1 to
+    MAX_JOBS.
     """
     _rules.integer("jobs", jobs, 1, MAX_JOBS)
     cells = [(ctrl, value) for ctrl in spec.controllers for value in spec.values]
     configs = [cfg for ctrl, value in cells for cfg in _cell_configs(spec, ctrl, value)]
     workers = min(jobs, len(configs))
 
+    if workers > 1:  # the pool loads multiprocessing (about 1.5 MB); serial work never does
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         outcomes = (pool.map if pool else map)(run_simulation, configs)
         results = []

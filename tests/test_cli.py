@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import importlib.metadata
 import re
 import subprocess
@@ -231,7 +232,7 @@ class TestSweep:
         # no run and no worker pool may start: every value here is rejected
         # while the sweep is being set up
         monkeypatch.setattr(harness, "run_simulation", lambda cfg: pytest.fail("a run started"))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
         code, out, err = run_main(["sweep", "--vary", "sr", option, value, "--out-dir", str(tmp_path)], capsys)
         assert code == 1
         assert out == ""

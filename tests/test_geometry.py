@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctosim.geometry as geometry
 from ctosim.engine import SimConfig
 from ctosim.geometry import (
     Point,
@@ -140,6 +141,57 @@ class TestDelaunayTriangulate:
         rng = np.random.default_rng(5)
         pts = _random_points(rng, 25)
         assert delaunay_triangulate(pts) == delaunay_triangulate(list(pts))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0.0, 0.0), (10.0, 0.0), (float("nan"), 10.0)],
+            [(0.0, 0.0), (10.0, 0.0), (0.0, float("inf"))],
+            [(0.0, 0.0), (1e200, 0.0), (0.0, 1e200)],  # finite, but the lift overflows
+            [(0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 10.0, 0.0)],
+            [(0.0,), (10.0,), (5.0,)],
+            [(0.0, 0.0), (10.0,), (0.0, 10.0)],
+            [(0.0, 0.0), (10.0, 0.0), (None, 10.0)],
+        ],
+        ids=["nan", "inf", "1e200", "3 coordinates", "1 coordinate", "ragged", "not a number"],
+    )
+    def test_rejects_points_that_are_not_finite_pairs(self, pts):
+        # one error, raised before any triple is tested and without a numpy warning
+        with pytest.raises(TriangulationError, match=r"^points must be finite \(x, y\) pairs small enough to lift$"):
+            delaunay_triangulate(pts)
+
+
+def _outcome(pts):
+    try:
+        return delaunay_triangulate(pts)
+    except TriangulationError as exc:
+        return str(exc)
+
+
+def _block_cases():
+    rng = np.random.default_rng(20)
+    cases = [_random_points(rng, n) for n in [*range(3, 13), 15, 20, 25, 30, 40, 50, 60]]
+    grid = [Point(float(x), float(y)) for x in range(5) for y in range(5)]
+    collinear = [Point(float(i), float(3 * i)) for i in range(12)]
+    return cases + [grid, collinear]
+
+
+@pytest.mark.parametrize("block", [1, 7, math.comb(60, 3) + 1])
+def test_blocks_of_triples_do_not_change_the_result(monkeypatch, block):
+    # Every test is per triple and the blocks run in index order, so the
+    # block size changes neither the triangles, nor their order, nor the
+    # error. On the 5x5 grid the cocircular error comes from a later block
+    # than the first; collinear points fail the final Euler check.
+    cases = _block_cases()
+    expected = [_outcome(pts) for pts in cases]
+    assert "four points lie on one circle within rounding error" in expected
+    assert "points are collinear or too close to it to triangulate" in expected
+    monkeypatch.setattr(geometry, "TRIPLE_BLOCK", block)
+    for pts, want in zip(cases, expected):
+        if math.comb(len(pts), 3) > 5000 * block:
+            continue  # thousands of blocks cost seconds
+        assert _outcome(pts) == want, f"n={len(pts)}"
 
 
 def test_triangulation_edges_sorted_unique():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -244,7 +246,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("jobs", [True, 2.0, 2.5, float("nan"), "2"])
     def test_rejects_non_integer_jobs(self, monkeypatch, jobs):
         monkeypatch.setattr(harness, "run_simulation", boom)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
         with pytest.raises(ValueError, match="jobs must be an integer"):
             run_sweep(small_spec(), jobs=jobs)
 
@@ -252,7 +254,7 @@ class TestRunSweep:
         # the pool would start every worker at its first submit, so the cap
         # is checked before a pool exists; the stub makes sure none does
         monkeypatch.setattr(harness, "run_simulation", boom)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
         with pytest.raises(ValueError, match=f"jobs must be at most {harness.MAX_JOBS}"):
             run_sweep(small_spec(), jobs=harness.MAX_JOBS + 1)
 
@@ -271,12 +273,35 @@ class TestRunSweep:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         assert len(run_sweep(small_spec(runs_per_cell=1), jobs=harness.MAX_JOBS).records) == 2
         assert started == [2]
         # a single run needs no pool at all
         run_sweep(small_spec(values=(5.0,), runs_per_cell=1), jobs=harness.MAX_JOBS)
         assert started == [2]
+
+    def test_serial_work_never_loads_the_process_pool(self):
+        # A fresh interpreter: this one has loaded the pool for other tests.
+        script = (
+            "import sys\n"
+            "import ctosim\n"
+            "from ctosim import ControllerKind, SimConfig, SweepSpec, run_simulation, run_sweep\n"
+            "run_simulation(SimConfig(steps=5))\n"
+            "spec = SweepSpec(varied='sr', values=(5.0,), controllers=(ControllerKind.HC,),\n"
+            "                 runs_per_cell=1, base=SimConfig(steps=5))\n"
+            "assert len(run_sweep(spec, jobs=1).records) == 1\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+        )
+        src = Path(harness.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failures_name_the_cell(self, monkeypatch, jobs):
