@@ -8,7 +8,6 @@ from pathlib import Path
 
 from .controllers import ControllerKind
 from .engine import SimConfig, run_simulation
-from .harness import SweepSpec, emit_csv, emit_plot_script, run_sweep
 
 
 def _number(text: str) -> int | float:
@@ -72,7 +71,11 @@ def _cmd_simulate(options: dict) -> int:
     return 0
 
 
+# The harness is imported where a command uses it, so that ``simulate``
+# never loads it or its csv and statistics modules.
 def _cmd_sweep(options: dict) -> int:
+    from .harness import SweepSpec, emit_csv, run_sweep
+
     out_dir = options.pop("out_dir")
     jobs = {"jobs": options.pop("jobs")} if "jobs" in options else {}
     result = run_sweep(SweepSpec(**options), **jobs)
@@ -83,6 +86,8 @@ def _cmd_sweep(options: dict) -> int:
 
 
 def _cmd_plot(options: dict) -> int:
+    from .harness import emit_plot_script
+
     print(emit_plot_script(options["summary"]))
     return 0
 

@@ -34,6 +34,7 @@ from .geometry import Point
 from .metrics import finalize_rho, observation_matrix
 from .world import (
     ARENA,
+    MAX_SPEED,
     MAX_VERTICES,
     ObserverState,
     PlanarGraph,
@@ -76,7 +77,7 @@ class SimConfig:
         _rules.integer("n_targets", self.n_targets, 1, MAX_AGENTS)
         _rules.integer("n_vertices", self.n_vertices, 3, MAX_VERTICES)
         _rules.positive("sr", self.sr)
-        _rules.positive("rv", self.rv, math.hypot(self.width, self.height))
+        _rules.positive("rv", self.rv, MAX_SPEED)
         update_period(self.ur)
         _rules.horizon(self.horizon)
         _rules.integer("seed", self.seed, 0)

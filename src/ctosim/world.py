@@ -23,6 +23,15 @@ MAX_VERTICES = 100
 #: The arena's width and height, a constant of the model.
 ARENA = (150.0, 150.0)
 
+#: Fastest target speed in length units per step: the arena's diagonal.
+#: SimConfig's rv and random_target_state both apply it.
+MAX_SPEED = math.hypot(*ARENA)
+
+#: Fastest speed step_target accepts: a state built by hand may walk several
+#: of its graph's longest edges in one step, as the oracle tests do. The
+#: bound caps how far one step walks, and with it the crossing loop.
+MAX_STEP_SPEED = 4 * MAX_SPEED
+
 #: Fresh vertex draws a graph gets before generation gives up.
 GRAPH_ATTEMPTS = 32
 
@@ -140,6 +149,7 @@ class ObserverState:
 
 _set_position, _set_destination = ObserverState.position.__set__, ObserverState.destination.__set__
 _new_tuple = tuple.__new__  # bound once: step_target builds a TargetState per target and step
+_INF = math.inf  # a global: step_observer's finite check then skips an attribute lookup
 
 
 def generate_random_graph(n_vertices: int, seed: int) -> PlanarGraph:
@@ -182,7 +192,10 @@ def _build_graph(n_vertices: int, seed: int) -> PlanarGraph:
 
 def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generator) -> TargetState:
     """Place a target uniformly: random edge, random offset along it, random heading."""
+    # Two rules: a nan, infinite or non-positive speed keeps the unbounded
+    # rule's "> 0" message, and one above MAX_SPEED gets SimConfig's rv message.
     _rules.positive("target speed", speed)
+    _rules.positive("target speed", speed, MAX_SPEED)
     edge = int(rng.integers(len(graph.edges)))
     e = graph.edges[edge]
     offset = float(rng.uniform(0.0, e.length))
@@ -212,16 +225,25 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
     edge is chosen uniformly among all edges incident to that vertex (the
     arrival edge included) and the leftover distance is spent on it within
     the same step.
+
+    A step that reaches the vertex checks the state first, so that its
+    crossing loop ends: ValueError unless the speed is in (0, MAX_STEP_SPEED]
+    and the starting offset lies in [0, length]. A step within the edge
+    checks nothing.
     """
-    edge, toward, offset, speed = state
-    offset += speed
+    edge, toward, start, speed = state
+    offset = start + speed
     length = graph._legs[edge][2]
-    while offset >= length:
-        offset -= length
-        incident = graph.adjacency[toward]
-        edge = incident[int(rng.integers(len(incident)))]
-        u, v, length = graph.edges[edge]
-        toward = v if u == toward else u
+    if offset >= length:
+        _rules.positive("target speed", speed, MAX_STEP_SPEED)
+        if not 0.0 <= start <= length:
+            raise ValueError(f"offset {start} outside [0, {length}] on edge {edge}")
+        while offset >= length:
+            offset -= length
+            incident = graph.adjacency[toward]
+            edge = incident[int(rng.integers(len(incident)))]
+            u, v, length = graph.edges[edge]
+            toward = v if u == toward else u
     # Built without the named tuple's generated __new__, which takes twice as long.
     return _new_tuple(TargetState, (edge, toward, offset, speed))
 
@@ -232,6 +254,8 @@ def step_observer(state: ObserverState) -> ObserverState:
     Arrival within one step's reach snaps exactly onto the destination;
     the observer then holds position until given a new destination, and
     a state at rest (position and destination one object) is returned as is.
+    A moving observer whose gap to its destination is not finite (a nan or
+    infinite coordinate, or a difference that overflows) raises ValueError.
     """
     position, destination = state.position, state.destination
     if position is destination:
@@ -243,6 +267,8 @@ def step_observer(state: ObserverState) -> ObserverState:
     gap = math.hypot(dx, dy)
     if gap <= 1.0:
         return ObserverState(destination, destination)
+    if not gap < _INF:
+        raise ValueError(f"observer gap from {position} to {destination} is not finite")
     f = 1.0 / gap
     return ObserverState((px + f * dx, py + f * dy), destination)
 

@@ -163,7 +163,7 @@ def test_simulate_exits_cleanly_on_any_numeric_arguments(data, capsys):
 class TestSweep:
     def test_wires_arguments_through(self, tmp_path, capsys, monkeypatch):
         captured = {}
-        real_run_sweep = cli.run_sweep
+        real_run_sweep = harness.run_sweep
 
         def spy(spec: SweepSpec, jobs: int = 1):
             captured["spec"] = spec
@@ -181,7 +181,7 @@ class TestSweep:
             )
             return real_run_sweep(small)
 
-        monkeypatch.setattr(cli, "run_sweep", spy)
+        monkeypatch.setattr(harness, "run_sweep", spy)
         code, out, err = run_main(
             ["sweep", "--vary", "sr", "--runs", "4", "--base-seed", "9",
              "--jobs", "2", "--out-dir", str(tmp_path)],
@@ -201,7 +201,7 @@ class TestSweep:
         # the defaults live in SweepSpec and run_sweep alone, so jobs is
         # passed only when it is given
         calls = []
-        monkeypatch.setattr(cli, "run_sweep", lambda spec, **kw: calls.append((spec, kw)) or _stop())
+        monkeypatch.setattr(harness, "run_sweep", lambda spec, **kw: calls.append((spec, kw)) or _stop())
         assert run_main(["sweep", "--vary", "sr"], capsys) == (1, "", "error: stopped\n")
         assert calls == [(SweepSpec(varied="sr"), {})]
 

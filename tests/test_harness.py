@@ -410,3 +410,34 @@ class TestEmitPlotScript:
         png = summary_csv.parent / "rho_vs_sr.png"
         assert png.is_file()
         assert png.stat().st_size > 1000
+
+
+def test_a_single_run_never_loads_the_harness():
+    # A fresh interpreter: this one has loaded the harness for the tests above.
+    script = (
+        "import sys\n"
+        "import ctosim\n"
+        "import ctosim.cli\n"
+        "ctosim.run_simulation(ctosim.SimConfig(steps=5))\n"
+        "assert ctosim.cli.main(['simulate', '--steps', '5']) == 0\n"
+        "heavy = ('ctosim.harness', 'csv', 'statistics', 'decimal', 'fractions')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "assert all(getattr(ctosim, name) is not None for name in ctosim.__all__)\n"
+        "assert ctosim.harness is sys.modules['ctosim.harness']\n"
+        "assert ctosim.run_sweep is ctosim.harness.run_sweep\n"
+        "names = {}\n"
+        "exec('from ctosim import *', names)\n"
+        "print(sorted(set(ctosim.__all__) - set(names)))\n"
+    )
+    src = Path(harness.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("rho=")  # the simulate command's own line
+    assert lines[1:] == ["[]", "[]"]

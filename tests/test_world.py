@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import signal
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -13,10 +15,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ctosim.world as world
+from ctosim.engine import SimConfig
 from ctosim.geometry import Point, distance
 from ctosim.world import (
     GRAPH_ATTEMPTS,
     GRAPH_MEMO,
+    MAX_SPEED,
+    MAX_STEP_SPEED,
     GraphGenerationError,
     ObserverState,
     PlanarGraph,
@@ -41,6 +46,23 @@ def triangle_graph() -> PlanarGraph:
     """3 vertices, 3 edges; edge 0 runs from (0,0) to (10,0) with length 10."""
     verts = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 30.0)]
     return PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail a call that does not return within ``seconds``: an unbounded
+    loop fails the test rather than hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def wheel_graph(k: int) -> PlanarGraph:
@@ -280,6 +302,18 @@ class TestRandomTargetState:
         with pytest.raises(ValueError, match="target speed must be a finite number > 0"):
             random_target_state(triangle_graph(), speed, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("speed", [1e300, math.nextafter(MAX_SPEED, math.inf)])
+    def test_speed_above_the_bound_is_rejected_as_simconfig_rejects_rv(self, speed):
+        with pytest.raises(ValueError) as caught:
+            random_target_state(triangle_graph(), speed, np.random.default_rng(0))
+        assert str(caught.value) == f"target speed must be a finite number in (0, 212.132], got {speed!r}"
+        with pytest.raises(ValueError, match=r"^rv must be a finite number in \(0, 212\.132\], got "):
+            SimConfig(rv=speed)
+
+    def test_the_bound_itself_is_accepted(self):
+        assert random_target_state(triangle_graph(), MAX_SPEED, np.random.default_rng(0)).speed == MAX_SPEED
+        assert SimConfig(rv=MAX_SPEED).rv == MAX_SPEED
+
     def test_placement_is_uniform(self):
         g = triangle_graph()
         rng = np.random.default_rng(9)
@@ -364,6 +398,26 @@ class TestStepTarget:
             s = step_target(g, s, rng)
             assert distance(before, target_point(g, s)) <= 0.9 + 1e-9
 
+    @pytest.mark.parametrize(
+        "offset, speed, message",
+        [
+            (9.8, math.inf, r"target speed must be a finite number in \(0, 848\.528\], got inf"),
+            (9.8, 1e300, r"target speed must be a finite number in \(0, 848\.528\], got 1e\+300"),
+            (1e300, 0.5, r"offset 1e\+300 outside \[0, 10\.0\] on edge 0"),
+        ],
+        ids=["inf-speed", "1e300-speed", "1e300-offset"],
+    )
+    def test_a_crossing_from_an_unbounded_state_raises(self, offset, speed, message):
+        # each of these looped forever: offset -= length no longer changed offset
+        with time_limit(10), pytest.raises(ValueError, match=message):
+            step_target(triangle_graph(), TargetState(0, 1, offset, speed), np.random.default_rng(0))
+
+    def test_the_step_bound_itself_is_accepted(self):
+        g = triangle_graph()
+        with time_limit(10):
+            s = step_target(g, TargetState(0, 1, 10.0, MAX_STEP_SPEED), np.random.default_rng(0))
+        assert 0.0 <= s.offset <= g.edges[s.edge].length
+
     def test_edge_choice_uniform_at_vertex(self):
         # force 10k arrivals at the hub of a 6-spoke wheel; each of its 6
         # incident edges should be taken about equally often
@@ -403,6 +457,20 @@ class TestStepObserver:
     def test_diagonal_step_has_unit_length(self):
         s = step_observer(ObserverState(Point(0.0, 0.0), Point(30.0, 40.0)))
         assert math.isclose(math.hypot(*s.position), 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "position, destination",
+        [
+            ((0.0, 0.0), (math.inf, 0.0)),
+            ((0.0, 0.0), (5.0, math.nan)),
+            ((-1e308, 0.0), (1e308, 0.0)),  # the gap overflows to inf
+        ],
+        ids=["inf-destination", "nan-destination", "overflowing-gap"],
+    )
+    def test_a_gap_that_is_not_finite_raises(self, position, destination):
+        # each gave a nan position
+        with pytest.raises(ValueError, match="observer gap from .* is not finite"):
+            step_observer(ObserverState(position, destination))
 
 
 class TestObserverStateBuild:
