@@ -25,10 +25,9 @@ __all__ = [
     "HarnessError",
     "run_sweep",
     "emit_csv",
-    "emit_plot_script",
 ]
 
-_LAZY = frozenset(("harness", "SweepSpec", "SweepResult", "HarnessError", "run_sweep", "emit_csv", "emit_plot_script"))
+_LAZY = frozenset(("harness", "SweepSpec", "SweepResult", "HarnessError", "run_sweep", "emit_csv"))
 
 
 def __getattr__(name: str):

@@ -1,4 +1,4 @@
-"""Command-line front end: single runs, parameter sweeps, chart scripts."""
+"""Command-line front end: single runs, parameter sweeps, charts."""
 
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=_number, help="worker processes")
     sweep.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
 
-    plot = sub.add_parser("plot", help="write a chart script for a sweep summary CSV")
+    plot = sub.add_parser("plot", help="draw the charts of a sweep summary CSV")
     plot.add_argument("--summary", type=Path, required=True, help="summary CSV path")
 
     return parser
@@ -86,9 +86,10 @@ def _cmd_sweep(options: dict) -> int:
 
 
 def _cmd_plot(options: dict) -> int:
-    from .harness import emit_plot_script
+    from .harness import plot_summary
 
-    print(emit_plot_script(options["summary"]))
+    for path in plot_summary(options["summary"]):
+        print(path)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: parameter sweeps, summaries, CSV output.
+"""Benchmark harness: parameter sweeps, summaries, CSV output and charts.
 
 A sweep varies exactly one of the three benchmark parameters (sensor range
 ``sr``, target speed ``rv``, update rate ``ur``) over its standard value set
@@ -138,45 +138,35 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     MAX_JOBS.
     """
     _rules.integer("jobs", jobs, 1, MAX_JOBS)
-    cells = [(ctrl, value) for ctrl in spec.controllers for value in spec.values]
-    configs = [cfg for ctrl, value in cells for cfg in _cell_configs(spec, ctrl, value)]
+    cells = [
+        (ctrl, value, _cell_configs(spec, ctrl, value))
+        for ctrl in spec.controllers
+        for value in spec.values
+    ]
+    configs = [cfg for _, _, cell in cells for cfg in cell]
     workers = min(jobs, len(configs))
 
     if workers > 1:  # the pool loads multiprocessing (about 1.5 MB); serial work never does
         from concurrent.futures import ProcessPoolExecutor
+    records, summaries = [], []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         outcomes = (pool.map if pool else map)(run_simulation, configs)
-        results = []
-        for cfg in configs:
-            try:
-                results.append(next(outcomes))
-            except Exception as exc:
-                raise HarnessError(
-                    f"run failed: controller={cfg.controller.value} "
-                    f"{spec.varied}={getattr(cfg, spec.varied)} seed={cfg.seed}: {exc}"
-                ) from exc
-
-    records = []
-    summaries = []
-    idx = 0
-    for ctrl, value in cells:
-        cell_results = results[idx : idx + spec.runs_per_cell]
-        idx += spec.runs_per_cell
-        records.extend(
-            RunRecord(controller=ctrl, value=value, result=r)
-            for r in cell_results
-        )
-        rhos = [r.rho for r in cell_results]
-        sd = statistics.stdev(rhos) if len(rhos) > 1 else 0.0
-        summaries.append(
-            CellSummary(
-                controller=ctrl,
-                value=value,
-                m=statistics.mean(rhos),
-                sd=sd,
-                runs=len(rhos),
+        for ctrl, value, cell in cells:
+            rhos = []
+            for cfg in cell:
+                try:
+                    result = next(outcomes)
+                except Exception as exc:
+                    raise HarnessError(
+                        f"run failed: controller={cfg.controller.value} "
+                        f"{spec.varied}={getattr(cfg, spec.varied)} seed={cfg.seed}: {exc}"
+                    ) from exc
+                records.append(RunRecord(controller=ctrl, value=value, result=result))
+                rhos.append(result.rho)
+            sd = statistics.stdev(rhos) if len(rhos) > 1 else 0.0
+            summaries.append(
+                CellSummary(controller=ctrl, value=value, m=statistics.mean(rhos), sd=sd, runs=len(rhos))
             )
-        )
     return SweepResult(varied=spec.varied, records=tuple(records), summaries=tuple(summaries))
 
 
@@ -184,6 +174,14 @@ def _fmt_value(v: float) -> str:
     """The shortest text that reads back as the same float, without a trailing ".0"."""
     text = repr(float(v))
     return text[:-2] if text.endswith(".0") else text
+
+
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """One CSV file: UTF-8, LF line endings, the header row, then the rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
@@ -199,107 +197,65 @@ def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     runs_path = out / f"{result.varied}_runs.csv"
     summary_path = out / f"{result.varied}_summary.csv"
-
-    with open(runs_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["controller", "varied_param", "value", "sr", "rv", "ur", "seed", "rho", "wall_time_s"]
-        )
-        for rec in result.records:
-            cfg = rec.result.config
-            writer.writerow(
-                [
-                    rec.controller.value,
-                    result.varied,
-                    _fmt_value(rec.value),
-                    _fmt_value(cfg.sr),
-                    _fmt_value(cfg.rv),
-                    _fmt_value(cfg.ur),
-                    rec.result.config.seed,
-                    f"{rec.result.rho:.6f}",
-                    f"{rec.result.wall_time:.6f}",
-                ]
-            )
-
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["controller", "varied_param", "value", "m", "sd", "runs"])
-        for cell in result.summaries:
-            writer.writerow(
-                [
-                    cell.controller.value,
-                    result.varied,
-                    _fmt_value(cell.value),
-                    f"{cell.m:.6f}",
-                    f"{cell.sd:.6f}",
-                    cell.runs,
-                ]
-            )
-
+    _write_table(
+        runs_path,
+        ["controller", "varied_param", "value", "sr", "rv", "ur", "seed", "rho", "wall_time_s"],
+        (
+            [rec.controller.value, result.varied, _fmt_value(rec.value),
+             _fmt_value(rec.result.config.sr), _fmt_value(rec.result.config.rv),
+             _fmt_value(rec.result.config.ur), rec.result.config.seed,
+             f"{rec.result.rho:.6f}", f"{rec.result.wall_time:.6f}"]
+            for rec in result.records
+        ),
+    )
+    _write_table(
+        summary_path,
+        ["controller", "varied_param", "value", "m", "sd", "runs"],
+        (
+            [cell.controller.value, result.varied, _fmt_value(cell.value),
+             f"{cell.m:.6f}", f"{cell.sd:.6f}", cell.runs]
+            for cell in result.summaries
+        ),
+    )
     return runs_path, summary_path
 
 
-_PLOT_TEMPLATE = '''"""Chart generator for a sweep summary CSV (auto-generated)."""
+def plot_summary(summary_csv: Path | str) -> list[Path]:
+    """Chart a summary CSV: one ``rho_vs_<param>.png`` beside it per swept
+    parameter, with one error-bar series per controller (mean coverage
+    index against the value, sorted by value, bars of one sample standard
+    deviation); returns the paths in the CSV's order.
 
-import csv
-import sys
-from collections import defaultdict
-from pathlib import Path
-
-SUMMARY_CSV = Path({csv_path!r})
-
-
-def main() -> int:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib is required to draw the charts", file=sys.stderr)
-        return 1
-
-    by_param = defaultdict(lambda: defaultdict(list))
-    with open(SUMMARY_CSV, encoding="utf-8") as fh:
+    matplotlib is imported here only, so the rest of the harness runs
+    without it. Raises FileNotFoundError for a missing CSV and ImportError
+    when matplotlib cannot be imported.
+    """
+    summary = Path(summary_csv)
+    by_param: dict[str, dict[str, list[tuple[float, float, float]]]] = {}
+    with open(summary, encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            by_param[row["varied_param"]][row["controller"]].append(
-                (float(row["value"]), float(row["m"]), float(row["sd"]))
-            )
+            series = by_param.setdefault(row["varied_param"], {}).setdefault(row["controller"], [])
+            series.append((float(row["value"]), float(row["m"]), float(row["sd"])))
 
+    import matplotlib
+
+    matplotlib.use("Agg")
+    import matplotlib.pyplot as plt
+
+    paths = []
     for param, series in by_param.items():
         fig, ax = plt.subplots(figsize=(7, 4.5))
         for controller, rows in series.items():
-            rows.sort()
-            xs = [r[0] for r in rows]
-            ms = [r[1] for r in rows]
-            sds = [r[2] for r in rows]
+            xs, ms, sds = zip(*sorted(rows))
             ax.errorbar(xs, ms, yerr=sds, marker="o", capsize=3, label=controller)
         ax.set_xlabel(param)
         ax.set_ylabel("mean coverage index")
         ax.set_ylim(0.0, 1.0)
         ax.grid(True, alpha=0.3)
         ax.legend()
-        out = SUMMARY_CSV.parent / f"rho_vs_{{param}}.png"
         fig.tight_layout()
+        out = summary.parent / f"rho_vs_{param}.png"
         fig.savefig(out, dpi=150)
-        print(out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-'''
-
-
-def emit_plot_script(summary_csv: Path | str) -> Path:
-    """Write a standalone script that charts a summary CSV to
-    ``<stem>_plot.py`` beside it; returns the script's path.
-
-    The script depends only on matplotlib and the CSV it was generated for;
-    regenerating from the same CSV yields identical bytes.
-    """
-    summary = Path(summary_csv)
-    if not summary.is_file():
-        raise FileNotFoundError(f"summary CSV not found: {summary}")
-    out = summary.with_name(summary.stem + "_plot.py")
-    out.write_text(_PLOT_TEMPLATE.format(csv_path=str(summary)), encoding="utf-8")
-    return out
+        plt.close(fig)
+        paths.append(out)
+    return paths

@@ -29,8 +29,13 @@ MAX_SPEED = math.hypot(*ARENA)
 
 #: Fastest speed step_target accepts: a state built by hand may walk several
 #: of its graph's longest edges in one step, as the oracle tests do. The
-#: bound caps how far one step walks, and with it the crossing loop.
+#: bound caps how far one step walks.
 MAX_STEP_SPEED = 4 * MAX_SPEED
+
+#: Most vertices one step_target call crosses. Only a hand-made graph with
+#: edges shorter than MAX_STEP_SPEED / MAX_CROSSINGS (about 0.085) can need
+#: more; on edges below the rounding of the offset the loop would never end.
+MAX_CROSSINGS = 10_000
 
 #: Fresh vertex draws a graph gets before generation gives up.
 GRAPH_ATTEMPTS = 32
@@ -228,8 +233,9 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
 
     A step that reaches the vertex checks the state first, so that its
     crossing loop ends: ValueError unless the speed is in (0, MAX_STEP_SPEED]
-    and the starting offset lies in [0, length]. A step within the edge
-    checks nothing.
+    and the starting offset lies in [0, length], and ValueError once the
+    step has crossed MAX_CROSSINGS vertices without coming to rest. A step
+    within the edge checks nothing.
     """
     edge, toward, start, speed = state
     offset = start + speed
@@ -238,12 +244,16 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
         _rules.positive("target speed", speed, MAX_STEP_SPEED)
         if not 0.0 <= start <= length:
             raise ValueError(f"offset {start} outside [0, {length}] on edge {edge}")
-        while offset >= length:
+        for _ in range(MAX_CROSSINGS):
             offset -= length
             incident = graph.adjacency[toward]
             edge = incident[int(rng.integers(len(incident)))]
             u, v, length = graph.edges[edge]
             toward = v if u == toward else u
+            if offset < length:
+                break
+        else:
+            raise ValueError(f"step at speed {speed} crosses more than {MAX_CROSSINGS} vertices")
     # Built without the named tuple's generated __new__, which takes twice as long.
     return _new_tuple(TargetState, (edge, toward, offset, speed))
 

@@ -245,17 +245,30 @@ class TestSweep:
 
 
 class TestPlot:
-    def test_emits_script_next_to_csv(self, tmp_path, capsys):
+    SUMMARY = "controller,varied_param,value,m,sd,runs\nhc,ur,1,0.5,0.01,2\nhc,rv,0.5,0.4,0.02,2\n"
+
+    def test_prints_one_png_path_per_parameter(self, tmp_path, capsys, fake_matplotlib):
         csv_path = tmp_path / "ur_summary.csv"
-        csv_path.write_text("controller,varied_param,value,m,sd,runs\nhc,ur,1,0.5,0.01,2\n")
+        csv_path.write_text(self.SUMMARY)
         code, out, err = run_main(["plot", "--summary", str(csv_path)], capsys)
-        assert code == 0
-        assert out.strip() == str(tmp_path / "ur_summary_plot.py")
+        assert (code, err) == (0, "")
+        assert out == f"{tmp_path / 'rho_vs_ur.png'}\n{tmp_path / 'rho_vs_rv.png'}\n"
+        assert len(fake_matplotlib.figures) == 2
+
+    def test_missing_matplotlib_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "ur_summary.csv"
+        csv_path.write_text(self.SUMMARY)
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # makes its import fail
+        code, out, err = run_main(["plot", "--summary", str(csv_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "matplotlib" in err
 
     def test_missing_csv_is_one_error_line(self, tmp_path, capsys):
         code, out, err = run_main(["plot", "--summary", str(tmp_path / "nope.csv")], capsys)
-        assert code == 1
-        assert err.startswith("error: ")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "nope.csv") in err
 
 
 def test_missing_subcommand_exits_via_parser():

@@ -6,6 +6,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -25,7 +26,7 @@ from ctosim.harness import (
     HarnessError,
     SweepSpec,
     emit_csv,
-    emit_plot_script,
+    plot_summary,
     run_sweep,
 )
 
@@ -158,9 +159,11 @@ def emitted(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def summary_csv(tmp_path_factory):
-    result = run_sweep(small_spec())
-    out = tmp_path_factory.mktemp("plots")
-    _, summary_path = emit_csv(result, out)
+    """A real summary CSV of two controllers, its values written in descending order."""
+    spec = small_spec(
+        values=(25.0, 5.0), controllers=(ControllerKind.KMEANS, ControllerKind.HC), runs_per_cell=2
+    )
+    _, summary_path = emit_csv(run_sweep(spec), tmp_path_factory.mktemp("plots"))
     return summary_path
 
 
@@ -379,36 +382,109 @@ class TestEmitCsv:
         ]  # drop wall_time_s, the one timing-dependent column
         assert strip(runs2) == strip(runs_path)
 
+    def test_format_is_pinned(self, emitted):
+        # small_spec()'s exact files: a format change in the shared table
+        # writer fails here, not only in the benchmark's CSV check;
+        # wall_time_s varies, so only its six decimals are checked
+        _, runs_path, summary_path = emitted
+        assert summary_path.read_bytes() == (
+            b"controller,varied_param,value,m,sd,runs\n"
+            b"hc,sr,5,0.124537,0.145670,3\n"
+            b"hc,sr,25,0.798611,0.041131,3\n"
+        )
+        *lines, end = runs_path.read_bytes().split(b"\n")
+        assert end == b""
+        assert [line.rsplit(b",", 1)[0] for line in lines] == [
+            b"controller,varied_param,value,sr,rv,ur,seed,rho",
+            b"hc,sr,5,5,0.5,0.25,0,0.088889",
+            b"hc,sr,5,5,0.5,0.25,1,0.284722",
+            b"hc,sr,5,5,0.5,0.25,2,0.000000",
+            b"hc,sr,25,25,0.5,0.25,0,0.837500",
+            b"hc,sr,25,25,0.5,0.25,1,0.755556",
+            b"hc,sr,25,25,0.5,0.25,2,0.802778",
+        ]
+        assert lines[0].endswith(b",wall_time_s")
+        assert all(re.fullmatch(rb"\d+\.\d{6}", line.rsplit(b",", 1)[1]) for line in lines[1:])
+
     def test_empty_result_rejected(self, tmp_path):
         empty = harness.SweepResult(varied="sr", records=(), summaries=())
         with pytest.raises(ValueError, match="no records"):
             emit_csv(empty, tmp_path)
 
 
-class TestEmitPlotScript:
-    def test_default_output_path(self, summary_csv):
-        script = emit_plot_script(summary_csv)
-        assert script == summary_csv.with_name("sr_summary_plot.py")
-        assert "sr_summary.csv" in script.read_text()
+def read_series(summary_csv: Path) -> dict[str, list[tuple[float, float, float]]]:
+    """Each controller's (value, m, sd) rows of a summary CSV, sorted by value."""
+    series: dict[str, list[tuple[float, float, float]]] = {}
+    with open(summary_csv, encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            series.setdefault(row["controller"], []).append(
+                (float(row["value"]), float(row["m"]), float(row["sd"]))
+            )
+    return {controller: sorted(rows) for controller, rows in series.items()}
 
-    def test_regeneration_is_byte_identical(self, summary_csv):
-        first = emit_plot_script(summary_csv).read_bytes()
-        assert emit_plot_script(summary_csv).read_bytes() == first
 
-    def test_missing_csv_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            emit_plot_script(tmp_path / "nope.csv")
+def calls(recorder, name: str) -> list[tuple[tuple, dict]]:
+    """The (args, kwargs) of each call of one method on a fake_matplotlib recorder."""
+    return [(args, kwargs) for called, args, kwargs in recorder.calls if called == name]
 
-    def test_generated_script_draws_a_chart(self, summary_csv):
-        # the script runs under this interpreter, so it needs matplotlib here
+
+class TestPlotSummary:
+    def test_one_series_per_controller_sorted_with_sd_bars(self, summary_csv, fake_matplotlib):
+        paths = plot_summary(summary_csv)
+        assert paths == [summary_csv.parent / "rho_vs_sr.png"]
+        assert fake_matplotlib.backend == "Agg"
+        (fig, ax), = fake_matplotlib.figures
+        assert fig.kwargs == {"figsize": (7, 4.5)}
+        expected = read_series(summary_csv)
+        bars = calls(ax, "errorbar")
+        assert [kwargs["label"] for _, kwargs in bars] == ["kmeans", "hc"]
+        for (xs, ms), kwargs in bars:
+            rows = expected[kwargs["label"]]
+            assert list(xs) == [5.0, 25.0]
+            assert list(ms) == [m for _, m, _ in rows]
+            assert list(kwargs["yerr"]) == [sd for _, _, sd in rows]
+            assert (kwargs["marker"], kwargs["capsize"]) == ("o", 3)
+        assert [call for call in ax.calls if call[0] != "errorbar"] == [
+            ("set_xlabel", ("sr",), {}),
+            ("set_ylabel", ("mean coverage index",), {}),
+            ("set_ylim", (0.0, 1.0), {}),
+            ("grid", (True,), {"alpha": 0.3}),
+            ("legend", (), {}),
+        ]
+        assert fig.calls == [
+            ("tight_layout", (), {}),
+            ("savefig", (paths[0],), {"dpi": 150}),
+            ("close", (), {}),
+        ]
+
+    def test_one_figure_per_parameter(self, summary_csv, tmp_path, fake_matplotlib):
+        both = tmp_path / "both_summary.csv"
+        both.write_text(summary_csv.read_text() + "hc,ur,1,0.5,0.1,2\nhc,ur,0.5,0.4,0.1,2\n")
+        paths = plot_summary(both)
+        assert paths == [tmp_path / "rho_vs_sr.png", tmp_path / "rho_vs_ur.png"]
+        figures = fake_matplotlib.figures
+        assert [calls(ax, "set_xlabel") for _, ax in figures] == [[(("sr",), {})], [(("ur",), {})]]
+        assert [calls(fig, "savefig") for fig, _ in figures] == [[((p,), {"dpi": 150})] for p in paths]
+        ur_bars = calls(figures[1][1], "errorbar")
+        assert [(list(xs), list(ms), kwargs["label"]) for (xs, ms), kwargs in ur_bars] == [
+            ([0.5, 1.0], [0.4, 0.5], "hc")
+        ]
+
+    def test_missing_matplotlib_is_an_import_error(self, summary_csv, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # makes its import fail
+        with pytest.raises(ImportError, match="matplotlib"):
+            plot_summary(summary_csv)
+        assert not list(summary_csv.parent.glob("*.png"))
+
+    def test_missing_csv_rejected(self, tmp_path, fake_matplotlib):
+        with pytest.raises(FileNotFoundError, match="nope.csv"):
+            plot_summary(tmp_path / "nope.csv")
+        assert fake_matplotlib.figures == []
+
+    def test_draws_a_real_chart(self, summary_csv):
         pytest.importorskip("matplotlib")
-        script = emit_plot_script(summary_csv)
-        proc = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        png = summary_csv.parent / "rho_vs_sr.png"
-        assert png.is_file()
+        (png,) = plot_summary(summary_csv)
+        assert png == summary_csv.parent / "rho_vs_sr.png"
         assert png.stat().st_size > 1000
 
 

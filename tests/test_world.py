@@ -20,6 +20,7 @@ from ctosim.geometry import Point, distance
 from ctosim.world import (
     GRAPH_ATTEMPTS,
     GRAPH_MEMO,
+    MAX_CROSSINGS,
     MAX_SPEED,
     MAX_STEP_SPEED,
     GraphGenerationError,
@@ -417,6 +418,23 @@ class TestStepTarget:
         with time_limit(10):
             s = step_target(g, TargetState(0, 1, 10.0, MAX_STEP_SPEED), np.random.default_rng(0))
         assert 0.0 <= s.offset <= g.edges[s.edge].length
+
+    def test_edges_below_the_rounding_of_the_offset_raise(self):
+        # offset -= 1e-300 leaves 1.0 unchanged: uncapped, the crossing loop would never end
+        verts = [Point(0.0, 0.0), Point(1e-300, 0.0), Point(0.0, 1e-300)]
+        g = PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
+        message = f"step at speed 1.0 crosses more than {MAX_CROSSINGS} vertices"
+        with time_limit(10), pytest.raises(ValueError, match=message):
+            step_target(g, TargetState(0, 1, 0.0, 1.0), np.random.default_rng(0))
+
+    def test_a_step_within_the_crossing_cap_is_accepted(self):
+        # edges twice the length the cap allows: about MAX_CROSSINGS / 2 crossings at the top speed
+        side = 2 * MAX_STEP_SPEED / MAX_CROSSINGS
+        verts = [Point(0.0, 0.0), Point(side, 0.0), Point(side / 2, side * math.sqrt(3) / 2)]
+        g = PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
+        with time_limit(10):
+            s = step_target(g, TargetState(0, 1, 0.0, MAX_STEP_SPEED), np.random.default_rng(0))
+        assert 0.0 <= s.offset < g.edges[s.edge].length
 
     def test_edge_choice_uniform_at_vertex(self):
         # force 10k arrivals at the hub of a 6-spoke wheel; each of its 6
