@@ -9,7 +9,6 @@ segment-intersection oracles, and against Qhull, in the test suite.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,11 +32,6 @@ class TriangulationError(ValueError):
 TRIPLE_BLOCK = 4096
 
 _BAD_POINTS = "points must be finite (x, y) pairs small enough to lift"
-
-
-def distance(p: Point, q: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
 def delaunay_triangulate(points: Sequence[Point]) -> list[tuple[int, int, int]]:

@@ -227,15 +227,23 @@ def plot_summary(summary_csv: Path | str) -> list[Path]:
     deviation); returns the paths in the CSV's order.
 
     matplotlib is imported here only, so the rest of the harness runs
-    without it. Raises FileNotFoundError for a missing CSV and ImportError
-    when matplotlib cannot be imported.
+    without it. Raises FileNotFoundError for a missing CSV, ValueError for
+    one without a summary's columns or without rows, both before the
+    import, and ImportError when matplotlib cannot be imported.
     """
     summary = Path(summary_csv)
     by_param: dict[str, dict[str, list[tuple[float, float, float]]]] = {}
     with open(summary, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [name for name in ("controller", "varied_param", "value", "m", "sd")
+                   if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{summary} is not a sweep summary: missing columns {', '.join(map(repr, missing))}")
+        for row in reader:
             series = by_param.setdefault(row["varied_param"], {}).setdefault(row["controller"], [])
             series.append((float(row["value"]), float(row["m"]), float(row["sd"])))
+    if not by_param:
+        raise ValueError(f"{summary} is not a sweep summary: it has no rows")
 
     import matplotlib
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _rules
-from .geometry import Point, distance, delaunay_triangulate, triangulation_edges
+from .geometry import Point, delaunay_triangulate, triangulation_edges
 
 #: Most graph vertices a world may have: triangulation is O(n⁴) work.
 MAX_VERTICES = 100
@@ -41,17 +41,25 @@ MAX_CROSSINGS = 10_000
 GRAPH_ATTEMPTS = 32
 
 #: Graphs kept for reuse by later runs with the same seed: the 20 seeds of
-#: a sweep cell fit, at about 40 KB a graph with its leg table at 40
-#: vertices and 105 KB at MAX_VERTICES.
+#: a sweep cell fit, at about 32 KB a graph at 40 vertices and 85 KB at
+#: MAX_VERTICES.
 GRAPH_MEMO = 64
 
 
 class GraphEdge(NamedTuple):
-    """Undirected edge between vertex indices u and v with cached length."""
+    """Undirected edge between vertex indices u and v: its length, its ends
+    (ux, uy) and (vx, vy), and its delta (ex, ey) = (vx - ux, vy - uy), each
+    component one rounded difference, as an inline vx - ux is."""
 
     u: int
     v: int
     length: float
+    ux: float
+    uy: float
+    vx: float
+    vy: float
+    ex: float
+    ey: float
 
 
 class GraphGenerationError(RuntimeError):
@@ -99,12 +107,14 @@ class PlanarGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            length = distance(verts[u], verts[v])
+            (ux, uy), (vx, vy) = verts[u], verts[v]
+            ex, ey = vx - ux, vy - uy
+            length = math.hypot(ex, ey)
             if not 0.0 < length < math.inf:  # a nan or inf coordinate gives a nan or inf length
                 raise ValueError(f"edge ({u}, {v}) is zero-length or not finite: length {length}")
             incident[u].append(len(edges))
             incident[v].append(len(edges))
-            edges.append(GraphEdge(u, v, length))
+            edges.append(GraphEdge(u, v, length, ux, uy, vx, vy, ex, ey))
         for v, inc in enumerate(incident):
             if len(inc) < 2:
                 raise ValueError(f"vertex {v} has degree {len(inc)} < 2")
@@ -118,14 +128,6 @@ class PlanarGraph:
         if len(reached) < n:
             raise ValueError(f"graph is disconnected: vertex 0 reaches {len(reached)} of {n} vertices")
         return cls(verts, tuple(edges), tuple(tuple(inc) for inc in incident))
-
-    @functools.cached_property
-    def _legs(self) -> tuple:
-        """Per edge (u, v, length, ux, uy, vx, vy, ex, ey), with (ex, ey) = (vx - ux, vy - uy) rounded
-        once, as an inline dx - sx is. Not a field: == and hash ignore it."""
-        ends = [(e, self.vertices[e.u], self.vertices[e.v]) for e in self.edges]
-        return tuple((u, v, length, ux, uy, vx, vy, vx - ux, vy - uy)
-                     for (u, v, length), (ux, uy), (vx, vy) in ends)
 
 
 class TargetState(NamedTuple):
@@ -211,7 +213,7 @@ def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generat
 def target_point(graph: PlanarGraph, state: TargetState) -> tuple[float, float]:
     """Planar position of a target state on its edge, as a plain (x, y) pair."""
     edge, toward, offset, _ = state
-    u, v, length, ux, uy, vx, vy, ex, ey = graph._legs[edge]
+    u, v, length, ux, uy, vx, vy, ex, ey = graph.edges[edge]
     if toward != v and toward != u:
         raise ValueError(f"state heads toward vertex {toward}, not an endpoint of edge {edge}")
     if not 0.0 <= offset <= length:
@@ -239,7 +241,7 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
     """
     edge, toward, start, speed = state
     offset = start + speed
-    length = graph._legs[edge][2]
+    length = graph.edges[edge][2]
     if offset >= length:
         _rules.positive("target speed", speed, MAX_STEP_SPEED)
         if not 0.0 <= start <= length:
@@ -248,8 +250,9 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
             offset -= length
             incident = graph.adjacency[toward]
             edge = incident[int(rng.integers(len(incident)))]
-            u, v, length = graph.edges[edge]
-            toward = v if u == toward else u
+            e = graph.edges[edge]  # by index, not sliced: a crossing builds no tuple
+            toward = e[1] if e[0] == toward else e[0]
+            length = e[2]
             if offset < length:
                 break
         else:
@@ -294,7 +297,7 @@ def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tupl
     _rules.horizon(horizon)
     edge, toward, offset, speed = state
     offset += speed * horizon
-    length = graph._legs[edge][2]
+    length = graph.edges[edge][2]
     if offset > length:
         offset = length
     # A plain tuple in TargetState's field order: target_point only unpacks

@@ -163,16 +163,16 @@ def triangle_area(a: XY, b: XY, c: XY) -> float:
 #
 # Scalar references for one target or observer step, on plain data: a
 # target is an (edge, toward, offset, speed) tuple on a graph given by its
-# vertex (x, y) pairs, its (u, v, length) edges and its per-vertex incident
-# edge lists. The arithmetic repeats the package's step for step, so the two
-# must agree bit for bit, random draws included.
+# vertex (x, y) pairs, its edges, each led by (u, v, length), and its
+# per-vertex incident edge lists. The arithmetic repeats the package's step
+# for step, so the two must agree bit for bit, random draws included.
 
 
 def target_point_scalar(vertices: Sequence[XY], edges, state) -> XY:
     """Position of a target at ``offset`` along its edge, measured from the
     endpoint it heads away from."""
     edge, toward, offset, _ = state
-    u, v, length = edges[edge]
+    u, v, length = edges[edge][:3]
     if toward == v:
         start = u
     elif toward == u:
@@ -205,13 +205,13 @@ def step_target_scalar(edges, adjacency, state, rng):
     edge, toward, offset, speed = state
     offset = offset + speed
     while True:
-        u, v, length = edges[edge]
+        u, v, length = edges[edge][:3]
         if offset < length:
             return (edge, toward, offset, speed)
         offset = offset - length
         choices = adjacency[toward]
         edge = choices[int(rng.integers(len(choices)))]
-        u, v, _ = edges[edge]
+        u, v, _ = edges[edge][:3]
         if u == toward:
             toward = v
         else:

@@ -264,6 +264,28 @@ class TestPlot:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "matplotlib" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("controller,varied_param,value,sr,rv,ur,seed,rho,wall_time_s\nhc,ur,1,20,0.5,1,0,0.5,0.1\n",
+             "missing columns 'm', 'sd'"),
+            ("a,b\n1,2\n", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
+            ("controller,varied_param,value,m,sd,runs\n", "it has no rows"),
+        ],
+        ids=["runs-csv", "foreign-csv", "header-only"],
+    )
+    @pytest.mark.parametrize("matplotlib", ["fake", "missing"])
+    def test_not_a_summary_is_one_error_line(self, tmp_path, capsys, request, monkeypatch, text, message, matplotlib):
+        csv_path = tmp_path / "sr_runs.csv"
+        csv_path.write_text(text)
+        if matplotlib == "fake":
+            request.getfixturevalue("fake_matplotlib")
+        else:
+            monkeypatch.setitem(sys.modules, "matplotlib", None)  # makes its import fail
+        code, out, err = run_main(["plot", "--summary", str(csv_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {csv_path} is not a sweep summary: {message}\n"
+
     def test_missing_csv_is_one_error_line(self, tmp_path, capsys):
         code, out, err = run_main(["plot", "--summary", str(tmp_path / "nope.csv")], capsys)
         assert (code, out) == (1, "")

@@ -16,7 +16,6 @@ from ctosim.geometry import (
     Point,
     TriangulationError,
     delaunay_triangulate,
-    distance,
     triangulation_edges,
 )
 from ctosim.world import generate_random_graph
@@ -27,16 +26,6 @@ from oracles import (
     segments_cross,
     triangle_area,
 )
-
-
-def test_distance_3_4_5():
-    assert distance(Point(0.0, 0.0), Point(3.0, 4.0)) == 5.0
-    assert distance(Point(2.0, 2.0), Point(2.0, 2.0)) == 0.0
-
-
-def test_distance_symmetry():
-    p, q = Point(1.5, -2.0), Point(-7.25, 3.0)
-    assert distance(p, q) == distance(q, p)
 
 
 def _random_points(rng: np.random.Generator, n: int) -> list[Point]:

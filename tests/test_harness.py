@@ -481,6 +481,28 @@ class TestPlotSummary:
             plot_summary(tmp_path / "nope.csv")
         assert fake_matplotlib.figures == []
 
+    def test_runs_csv_rejected_before_the_import(self, summary_csv, fake_matplotlib):
+        runs = summary_csv.parent / "sr_runs.csv"  # emit_csv wrote it beside the summary
+        with pytest.raises(ValueError, match=re.escape(f"{runs} is not a sweep summary: missing columns 'm', 'sd'")):
+            plot_summary(runs)
+        assert (fake_matplotlib.backend, fake_matplotlib.figures) == (None, [])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
+            ("", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
+            ("controller,varied_param,value,m,sd,runs\n", "it has no rows"),
+        ],
+        ids=["foreign", "empty", "header-only"],
+    )
+    def test_other_csv_rejected_before_the_import(self, tmp_path, fake_matplotlib, text, message):
+        path = tmp_path / "sr_summary.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path} is not a sweep summary: {message}")):
+            plot_summary(path)
+        assert (fake_matplotlib.backend, fake_matplotlib.figures) == (None, [])
+
     def test_draws_a_real_chart(self, summary_csv):
         pytest.importorskip("matplotlib")
         (png,) = plot_summary(summary_csv)

@@ -16,7 +16,7 @@ from scipy import stats
 
 import ctosim.world as world
 from ctosim.engine import SimConfig
-from ctosim.geometry import Point, distance
+from ctosim.geometry import Point
 from ctosim.world import (
     GRAPH_ATTEMPTS,
     GRAPH_MEMO,
@@ -157,7 +157,7 @@ class TestGenerateRandomGraph:
         assert len(g.vertices) == 40
         assert all(0.0 <= p.x <= 150.0 and 0.0 <= p.y <= 150.0 for p in g.vertices)
         assert all(len(inc) >= 2 for inc in g.adjacency)
-        assert all(e.length == distance(g.vertices[e.u], g.vertices[e.v]) for e in g.edges)
+        assert all(e.length == math.dist(g.vertices[e.u], g.vertices[e.v]) for e in g.edges)
 
     def test_connected(self):
         g = generate_random_graph(25, 1)
@@ -242,7 +242,8 @@ class TestGraphMemo:
     def test_hit_is_the_kept_graph_and_equals_a_fresh_build(self):
         g = generate_random_graph(30, 11)
         assert generate_random_graph(30, 11) is g
-        assert world._build_graph.__wrapped__(30, 11) == g
+        fresh = world._build_graph.__wrapped__(30, 11)
+        assert fresh is not g and fresh == g and hash(fresh) == hash(g)
 
     def test_different_arguments_never_collide(self):
         keys = [(n, seed) for n in (10, 11, 12) for seed in (0, 1, 10, 11, 12)]
@@ -388,7 +389,7 @@ class TestStepTarget:
             e = g.edges[s.edge]
             assert 0.0 <= s.offset <= e.length
             assert s.toward in (e.u, e.v)
-            assert distance(before, target_point(g, s)) <= s.speed + 1e-9
+            assert math.dist(before, target_point(g, s)) <= s.speed + 1e-9
 
     def test_displacement_never_exceeds_speed(self):
         g = generate_random_graph(15, 4)
@@ -397,7 +398,7 @@ class TestStepTarget:
         for _ in range(2000):
             before = target_point(g, s)
             s = step_target(g, s, rng)
-            assert distance(before, target_point(g, s)) <= 0.9 + 1e-9
+            assert math.dist(before, target_point(g, s)) <= 0.9 + 1e-9
 
     @pytest.mark.parametrize(
         "offset, speed, message",
@@ -536,19 +537,24 @@ class TestObserverStateBuild:
 
 
 class TestLegTable:
-    def test_is_not_a_field(self):
-        g = generate_random_graph(20, 3)
-        assert g._legs  # built, and kept on the instance
-        fresh = world._build_graph.__wrapped__(20, 3)
-        assert g == fresh and hash(g) == hash(fresh)
-        assert "_legs" not in {f.name for f in dataclasses.fields(PlanarGraph)}
+    """Each GraphEdge carries its ends and its delta, which target_point reads."""
+
+    @pytest.mark.parametrize("n", [3, 10, 40, 100])
+    def test_every_edge_carries_its_ends_and_delta(self, n):
+        for seed in range(5):
+            g = generate_random_graph(n, seed)
+            for u, v, length, ux, uy, vx, vy, ex, ey in g.edges:
+                assert (ux, uy) == g.vertices[u] and (vx, vy) == g.vertices[v]
+                assert (ex.hex(), ey.hex()) == ((vx - ux).hex(), (vy - uy).hex())
+                assert length.hex() == math.dist(g.vertices[u], g.vertices[v]).hex()
 
     def test_keeps_the_sign_of_a_zero_coordinate(self):
         # Both ends of edge 0 sit at x = -0.0 and both ends of edge 3 at y = -0.0:
         # an inline -0.0 - -0.0 is 0.0, so a position on them has that coordinate 0.0.
         verts = [Point(-0.0, 0.0), Point(-0.0, 10.0), Point(5.0, -0.0), Point(-5.0, -0.0)]
         g = PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
-        for edge, (u, v, length) in enumerate(g.edges):
+        assert (g.edges[0].ex.hex(), g.edges[3].ey.hex()) == ("0x0.0p+0", "0x0.0p+0")
+        for edge, (u, v, length, *_) in enumerate(g.edges):
             for toward in (u, v):
                 for offset in (0.0, length / 3, length):
                     s = TargetState(edge, toward, offset, 1.0)
@@ -601,7 +607,7 @@ def test_step_target_preserves_invariants(edge, frac, head, speed, seed):
     assert 0.0 <= after.offset <= ea.length
     assert after.toward in (ea.u, ea.v)
     assert after.speed == speed
-    assert distance(before, target_point(g, after)) <= speed + 1e-9
+    assert math.dist(before, target_point(g, after)) <= speed + 1e-9
 
 
 def _short_edge_graph() -> PlanarGraph:
