@@ -228,8 +228,9 @@ def plot_summary(summary_csv: Path | str) -> list[Path]:
 
     matplotlib is imported here only, so the rest of the harness runs
     without it. Raises FileNotFoundError for a missing CSV, ValueError for
-    one without a summary's columns or without rows, both before the
-    import, and ImportError when matplotlib cannot be imported.
+    one without a summary's columns or rows, or with a row whose
+    varied_param is not sr, rv or ur or whose value, m or sd is not a
+    number, all before the import, and ImportError without matplotlib.
     """
     summary = Path(summary_csv)
     by_param: dict[str, dict[str, list[tuple[float, float, float]]]] = {}
@@ -240,8 +241,16 @@ def plot_summary(summary_csv: Path | str) -> list[Path]:
         if missing:
             raise ValueError(f"{summary} is not a sweep summary: missing columns {', '.join(map(repr, missing))}")
         for row in reader:
-            series = by_param.setdefault(row["varied_param"], {}).setdefault(row["controller"], [])
-            series.append((float(row["value"]), float(row["m"]), float(row["sd"])))
+            where, param = f"{summary} is not a sweep summary: line {reader.line_num}", row["varied_param"]
+            if param not in _VALUE_SETS:  # it names the output file
+                raise ValueError(f"{where}: column 'varied_param' is {param!r}, not one of {list(_VALUE_SETS)}")
+            for name in ("value", "m", "sd"):
+                try:  # a short row leaves the column None
+                    row[name] = float(row[name])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{where}: column {name!r} is {row[name]!r}, not a number") from None
+            series = by_param.setdefault(param, {}).setdefault(row["controller"], [])
+            series.append((row["value"], row["m"], row["sd"]))
     if not by_param:
         raise ValueError(f"{summary} is not a sweep summary: it has no rows")
 

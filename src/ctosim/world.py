@@ -46,22 +46,6 @@ GRAPH_ATTEMPTS = 32
 GRAPH_MEMO = 64
 
 
-class GraphEdge(NamedTuple):
-    """Undirected edge between vertex indices u and v: its length, its ends
-    (ux, uy) and (vx, vy), and its delta (ex, ey) = (vx - ux, vy - uy), each
-    component one rounded difference, as an inline vx - ux is."""
-
-    u: int
-    v: int
-    length: float
-    ux: float
-    uy: float
-    vx: float
-    vy: float
-    ex: float
-    ey: float
-
-
 class GraphGenerationError(RuntimeError):
     """Random graph generation failed after bounded retries."""
 
@@ -70,18 +54,24 @@ class GraphGenerationError(RuntimeError):
 class PlanarGraph:
     """Connected planar graph embedded in the arena.
 
-    ``adjacency[v]`` lists indices into ``edges`` for every edge incident to
-    vertex v. ``from_index_pairs``, the one constructor, checks that the
-    graph has a vertex, that every vertex has two coordinates, that every
-    edge joins two distinct existing vertices, named by integer indices,
-    at a finite positive distance, once, that every vertex has
-    degree >= 2, and that every vertex is reachable from vertex 0. It does
-    not check that edges do not cross or that vertices lie in the arena: a
-    hand-made graph may break both, a generated one has both.
+    Each edge is a plain tuple ``(u, v, length, ux, uy, vx, vy, ex, ey)``:
+    the int vertex indices u and v, the edge's length, its ends (ux, uy)
+    and (vx, vy), and its delta (ex, ey) = (vx - ux, vy - uy), each
+    component one rounded difference, as an inline vx - ux is. An exact
+    tuple, not a named one: CPython specialises the hot path's unpacking
+    and indexing only for exact tuples. ``adjacency[v]`` lists indices into
+    ``edges`` for every edge incident to vertex v. ``from_index_pairs``,
+    the one constructor, checks that the graph has a vertex, that every
+    vertex has two coordinates, that every edge joins two distinct
+    existing vertices, named by integer indices, at a finite positive
+    distance, once, that every vertex has degree >= 2, and that every
+    vertex is reachable from vertex 0. It does not check that edges do not
+    cross or that vertices lie in the arena: a hand-made graph may break
+    both, a generated one has both.
     """
 
     vertices: tuple[Point, ...]
-    edges: tuple[GraphEdge, ...]
+    edges: tuple[tuple[int, int, float, float, float, float, float, float, float], ...]
     adjacency: tuple[tuple[int, ...], ...]
 
     @classmethod
@@ -94,7 +84,7 @@ class PlanarGraph:
         if n == 0:
             raise ValueError("graph has no vertices")
         seen: set[tuple[int, int]] = set()
-        edges: list[GraphEdge] = []
+        edges: list[tuple] = []
         incident: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
             if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
@@ -114,7 +104,7 @@ class PlanarGraph:
                 raise ValueError(f"edge ({u}, {v}) is zero-length or not finite: length {length}")
             incident[u].append(len(edges))
             incident[v].append(len(edges))
-            edges.append(GraphEdge(u, v, length, ux, uy, vx, vy, ex, ey))
+            edges.append((u, v, length, ux, uy, vx, vy, ex, ey))
         for v, inc in enumerate(incident):
             if len(inc) < 2:
                 raise ValueError(f"vertex {v} has degree {len(inc)} < 2")
@@ -204,9 +194,9 @@ def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generat
     _rules.positive("target speed", speed)
     _rules.positive("target speed", speed, MAX_SPEED)
     edge = int(rng.integers(len(graph.edges)))
-    e = graph.edges[edge]
-    offset = float(rng.uniform(0.0, e.length))
-    toward = e.v if int(rng.integers(2)) else e.u
+    u, v, length = graph.edges[edge][:3]
+    offset = float(rng.uniform(0.0, length))
+    toward = v if int(rng.integers(2)) else u
     return TargetState(edge=edge, toward=toward, offset=offset, speed=speed)
 
 

@@ -145,8 +145,8 @@ def test_criterion_03_kinematics(criterion):
         for _ in range(100):
             before = target_point(graph, s)
             s = step_target(graph, s, rng)
-            e = graph.edges[s.edge]
-            if not (0.0 <= s.offset <= e.length and s.toward in (e.u, e.v)):
+            u, v, length = graph.edges[s.edge][:3]
+            if not (0.0 <= s.offset <= length and s.toward in (u, v)):
                 bad_state += 1
             if math.dist(before, target_point(graph, s)) > speed + 1e-9:
                 bad_displacement += 1
@@ -156,11 +156,11 @@ def test_criterion_03_kinematics(criterion):
     incident = list(graph.adjacency[hub])
     k = len(incident)
     arrival = incident[0]
-    e = graph.edges[arrival]
+    length = graph.edges[arrival][2]
     crossings = 10_000
     counts = dict.fromkeys(incident, 0)
     for _ in range(crossings):
-        s = TargetState(arrival, hub, e.length - 0.25, 0.5)
+        s = TargetState(arrival, hub, length - 0.25, 0.5)
         counts[step_target(graph, s, rng).edge] += 1
     expected = crossings / k
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())

@@ -271,8 +271,12 @@ class TestPlot:
              "missing columns 'm', 'sd'"),
             ("a,b\n1,2\n", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
             ("controller,varied_param,value,m,sd,runs\n", "it has no rows"),
+            (SUMMARY + "hc,sr,5,abc,0.1,2\n", "line 4: column 'm' is 'abc', not a number"),
+            (SUMMARY + "hc,sr,5\n", "line 4: column 'm' is None, not a number"),
+            (SUMMARY + "hc,../x,5,0.5,0.1,2\n",
+             "line 4: column 'varied_param' is '../x', not one of ['sr', 'rv', 'ur']"),
         ],
-        ids=["runs-csv", "foreign-csv", "header-only"],
+        ids=["runs-csv", "foreign-csv", "header-only", "non-numeric", "short-row", "escape"],
     )
     @pytest.mark.parametrize("matplotlib", ["fake", "missing"])
     def test_not_a_summary_is_one_error_line(self, tmp_path, capsys, request, monkeypatch, text, message, matplotlib):

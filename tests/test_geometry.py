@@ -106,7 +106,7 @@ class TestDelaunayTriangulate:
                 for s in spatial.Delaunay(np.array(g.vertices)).simplices.tolist()
                 for u, v in itertools.combinations(s, 2)
             }
-            assert sorted((e.u, e.v) for e in g.edges) == sorted(qhull), f"seed {seed}"
+            assert sorted(e[:2] for e in g.edges) == sorted(qhull), f"seed {seed}"
 
     def test_triangles_tile_the_convex_hull(self):
         rng = np.random.default_rng(11)

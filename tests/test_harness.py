@@ -429,6 +429,8 @@ def calls(recorder, name: str) -> list[tuple[tuple, dict]]:
 
 
 class TestPlotSummary:
+    HEADER, ROW = "controller,varied_param,value,m,sd,runs\n", "hc,sr,25,0.5,0.1,2\n"
+
     def test_one_series_per_controller_sorted_with_sd_bars(self, summary_csv, fake_matplotlib):
         paths = plot_summary(summary_csv)
         assert paths == [summary_csv.parent / "rho_vs_sr.png"]
@@ -492,9 +494,15 @@ class TestPlotSummary:
         [
             ("a,b\n1,2\n", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
             ("", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
-            ("controller,varied_param,value,m,sd,runs\n", "it has no rows"),
+            (HEADER, "it has no rows"),
+            (HEADER + ROW + "hc,sr,5,abc,0.1,2\n", "line 3: column 'm' is 'abc', not a number"),
+            (HEADER + ROW + "hc,sr,x5,0.5,0.1,2\n", "line 3: column 'value' is 'x5', not a number"),
+            (HEADER + ROW + "hc,sr,5,0.5,,2\n" + ROW, "line 3: column 'sd' is '', not a number"),
+            (HEADER + ROW + "hc,sr,5\n", "line 3: column 'm' is None, not a number"),
+            (HEADER + ROW + "hc,../../escape,5,0.5,0.1,2\n", "line 3: column 'varied_param' is '../../escape'"),
+            (HEADER + "hc,,5,0.5,0.1,2\n", "line 2: column 'varied_param' is '', not one of ['sr', 'rv', 'ur']"),
         ],
-        ids=["foreign", "empty", "header-only"],
+        ids=["foreign", "empty", "header-only", "bad-m", "bad-value", "bad-sd", "short-row", "escape", "no-param"],
     )
     def test_other_csv_rejected_before_the_import(self, tmp_path, fake_matplotlib, text, message):
         path = tmp_path / "sr_summary.csv"

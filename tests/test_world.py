@@ -83,7 +83,7 @@ class TestPlanarGraphValidation:
     def test_valid_triangle(self):
         g = triangle_graph()
         assert len(g.edges) == 3
-        assert g.edges[0].length == 10.0
+        assert g.edges[0][2] == 10.0
         # adjacency holds edge indices, per vertex
         assert set(g.adjacency[1]) == {0, 1}
 
@@ -157,7 +157,7 @@ class TestGenerateRandomGraph:
         assert len(g.vertices) == 40
         assert all(0.0 <= p.x <= 150.0 and 0.0 <= p.y <= 150.0 for p in g.vertices)
         assert all(len(inc) >= 2 for inc in g.adjacency)
-        assert all(e.length == math.dist(g.vertices[e.u], g.vertices[e.v]) for e in g.edges)
+        assert all(length == math.dist(g.vertices[u], g.vertices[v]) for u, v, length, *_ in g.edges)
 
     def test_connected(self):
         g = generate_random_graph(25, 1)
@@ -166,8 +166,8 @@ class TestGenerateRandomGraph:
         while frontier:
             v = frontier.pop()
             for ei in g.adjacency[v]:
-                e = g.edges[ei]
-                w = e.v if e.u == v else e.u
+                a, b = g.edges[ei][:2]
+                w = b if a == v else a
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
@@ -176,8 +176,8 @@ class TestGenerateRandomGraph:
     def test_edges_do_not_cross(self):
         g = generate_random_graph(30, 2)
         segs = [
-            ((g.vertices[e.u].x, g.vertices[e.u].y), (g.vertices[e.v].x, g.vertices[e.v].y))
-            for e in g.edges
+            ((g.vertices[u].x, g.vertices[u].y), (g.vertices[v].x, g.vertices[v].y))
+            for u, v, *_ in g.edges
         ]
         for i in range(len(segs)):
             for j in range(i + 1, len(segs)):
@@ -289,9 +289,9 @@ class TestRandomTargetState:
         rng = np.random.default_rng(0)
         for _ in range(200):
             s = random_target_state(g, 0.5, rng)
-            e = g.edges[s.edge]
-            assert 0.0 <= s.offset <= e.length
-            assert s.toward in (e.u, e.v)
+            u, v, length = g.edges[s.edge][:3]
+            assert 0.0 <= s.offset <= length
+            assert s.toward in (u, v)
             assert s.speed == 0.5
 
     def test_speed_must_be_positive(self):
@@ -326,8 +326,8 @@ class TestRandomTargetState:
         for _ in range(n):
             s = random_target_state(g, 0.25, rng)
             edge_counts[s.edge] += 1
-            offset_fracs.append(s.offset / g.edges[s.edge].length)
-            heading_v += s.toward == g.edges[s.edge].v
+            offset_fracs.append(s.offset / g.edges[s.edge][2])
+            heading_v += s.toward == g.edges[s.edge][1]
         for c in edge_counts:
             assert abs(c / n - 1.0 / 3.0) < 0.03
         assert abs(np.mean(offset_fracs) - 0.5) < 0.03
@@ -367,8 +367,8 @@ class TestStepTarget:
         for _ in range(50):
             s = step_target(g, TargetState(0, 1, 9.8, 0.5), rng)
             assert s.edge in g.adjacency[1]
-            e = g.edges[s.edge]
-            assert s.toward in (e.u, e.v) and s.toward != 1
+            u, v = g.edges[s.edge][:2]
+            assert s.toward in (u, v) and s.toward != 1
             assert abs(s.offset - 0.3) < 1e-12
 
     def test_arrival_edge_can_be_rechosen(self):
@@ -386,9 +386,9 @@ class TestStepTarget:
         for _ in range(200):
             before = target_point(g, s)
             s = step_target(g, s, rng)
-            e = g.edges[s.edge]
-            assert 0.0 <= s.offset <= e.length
-            assert s.toward in (e.u, e.v)
+            u, v, length = g.edges[s.edge][:3]
+            assert 0.0 <= s.offset <= length
+            assert s.toward in (u, v)
             assert math.dist(before, target_point(g, s)) <= s.speed + 1e-9
 
     def test_displacement_never_exceeds_speed(self):
@@ -418,7 +418,7 @@ class TestStepTarget:
         g = triangle_graph()
         with time_limit(10):
             s = step_target(g, TargetState(0, 1, 10.0, MAX_STEP_SPEED), np.random.default_rng(0))
-        assert 0.0 <= s.offset <= g.edges[s.edge].length
+        assert 0.0 <= s.offset <= g.edges[s.edge][2]
 
     def test_edges_below_the_rounding_of_the_offset_raise(self):
         # offset -= 1e-300 leaves 1.0 unchanged: uncapped, the crossing loop would never end
@@ -435,7 +435,7 @@ class TestStepTarget:
         g = PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
         with time_limit(10):
             s = step_target(g, TargetState(0, 1, 0.0, MAX_STEP_SPEED), np.random.default_rng(0))
-        assert 0.0 <= s.offset < g.edges[s.edge].length
+        assert 0.0 <= s.offset < g.edges[s.edge][2]
 
     def test_edge_choice_uniform_at_vertex(self):
         # force 10k arrivals at the hub of a 6-spoke wheel; each of its 6
@@ -445,12 +445,12 @@ class TestStepTarget:
         hub_incident = list(g.adjacency[0])
         assert len(hub_incident) == k
         arrival = g.adjacency[0][0]
-        e = g.edges[arrival]
+        length = g.edges[arrival][2]
         rng = np.random.default_rng(6)
         n = 10_000
         counts = dict.fromkeys(hub_incident, 0)
         for _ in range(n):
-            s = TargetState(arrival, 0, e.length - 0.25, 0.5)
+            s = TargetState(arrival, 0, length - 0.25, 0.5)
             counts[step_target(g, s, rng).edge] += 1
         expected = n / k
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -537,13 +537,18 @@ class TestObserverStateBuild:
 
 
 class TestLegTable:
-    """Each GraphEdge carries its ends and its delta, which target_point reads."""
+    """Each edge carries its ends and its delta, which target_point reads."""
 
     @pytest.mark.parametrize("n", [3, 10, 40, 100])
     def test_every_edge_carries_its_ends_and_delta(self, n):
         for seed in range(5):
             g = generate_random_graph(n, seed)
-            for u, v, length, ux, uy, vx, vy, ex, ey in g.edges:
+            for e in g.edges:
+                # an exact tuple of exact ints and floats: the hot path's
+                # unpacking and indexing are specialised only for those
+                assert type(e) is tuple and len(e) == 9
+                assert [type(x) for x in e] == [int, int] + [float] * 7
+                u, v, length, ux, uy, vx, vy, ex, ey = e
                 assert (ux, uy) == g.vertices[u] and (vx, vy) == g.vertices[v]
                 assert (ex.hex(), ey.hex()) == ((vx - ux).hex(), (vy - uy).hex())
                 assert length.hex() == math.dist(g.vertices[u], g.vertices[v]).hex()
@@ -553,7 +558,7 @@ class TestLegTable:
         # an inline -0.0 - -0.0 is 0.0, so a position on them has that coordinate 0.0.
         verts = [Point(-0.0, 0.0), Point(-0.0, 10.0), Point(5.0, -0.0), Point(-5.0, -0.0)]
         g = PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
-        assert (g.edges[0].ex.hex(), g.edges[3].ey.hex()) == ("0x0.0p+0", "0x0.0p+0")
+        assert (g.edges[0][7].hex(), g.edges[3][8].hex()) == ("0x0.0p+0", "0x0.0p+0")
         for edge, (u, v, length, *_) in enumerate(g.edges):
             for toward in (u, v):
                 for offset in (0.0, length / 3, length):
@@ -599,13 +604,13 @@ def _property_graph() -> PlanarGraph:
 def test_step_target_preserves_invariants(edge, frac, head, speed, seed):
     g = _property_graph()
     ei = edge % len(g.edges)
-    e = g.edges[ei]
-    s = TargetState(ei, e.v if head else e.u, frac * e.length, speed)
+    u, v, length = g.edges[ei][:3]
+    s = TargetState(ei, v if head else u, frac * length, speed)
     before = target_point(g, s)
     after = step_target(g, s, np.random.default_rng(seed))
-    ea = g.edges[after.edge]
-    assert 0.0 <= after.offset <= ea.length
-    assert after.toward in (ea.u, ea.v)
+    u, v, length = g.edges[after.edge][:3]
+    assert 0.0 <= after.offset <= length
+    assert after.toward in (u, v)
     assert after.speed == speed
     assert math.dist(before, target_point(g, after)) <= speed + 1e-9
 
@@ -636,11 +641,11 @@ def _plain_pair(point) -> bool:
 )
 def test_target_world_step_equals_the_scalar_oracle(which, edge, frac, head, speed_frac, seed):
     g = {"random": _property_graph, "short": _short_edge_graph, "wheel": lambda: wheel_graph(6)}[which]()
-    longest = max(e.length for e in g.edges)
+    longest = max(e[2] for e in g.edges)
     ei = edge % len(g.edges)
-    e = g.edges[ei]
+    u, v, length = g.edges[ei][:3]
     # frac 1.0 puts the target exactly on the vertex it heads toward
-    s = TargetState(ei, e.v if head else e.u, e.length if frac == 1.0 else frac * e.length, speed_frac * longest)
+    s = TargetState(ei, v if head else u, length if frac == 1.0 else frac * length, speed_frac * longest)
     plain = (s.edge, s.toward, s.offset, s.speed)
     point = target_point(g, s)
     assert _plain_pair(point)
@@ -698,12 +703,12 @@ def test_observer_world_step_equals_the_scalar_oracle(x, y, gap, angle):
 )
 def test_predict_target_equals_the_scalar_oracle(which, edge, frac, head, speed_frac, horizon):
     g = {"random": _property_graph, "short": _short_edge_graph, "wheel": lambda: wheel_graph(6)}[which]()
-    longest = max(e.length for e in g.edges)
+    longest = max(e[2] for e in g.edges)
     ei = edge % len(g.edges)
-    e = g.edges[ei]
+    u, v, length = g.edges[ei][:3]
     # frac 1.0 puts the target exactly on the vertex it heads toward; the
     # large horizons overshoot it, so the projection is held there
-    s = TargetState(ei, e.v if head else e.u, e.length if frac == 1.0 else frac * e.length, speed_frac * longest)
+    s = TargetState(ei, v if head else u, length if frac == 1.0 else frac * length, speed_frac * longest)
     point = predict_target(g, s, horizon)
     assert _plain_pair(point)
     assert _hex(point) == _hex(predict_target_scalar(g.vertices, g.edges, tuple(s), horizon))
