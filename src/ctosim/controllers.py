@@ -16,10 +16,10 @@ Four strategies choose where the observers should head next:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
+from math import isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -67,13 +67,13 @@ class ControlInput:
         if len(self.observer_points) == 0:
             raise ValueError("at least one observer is required")
         _rules.positive("sensor range", self.sr)
-        coords = chain(*self.observer_points, *self.current_destinations, *self.target_eval_points)
-        try:  # math.isfinite raises OverflowError for an int beyond float range
-            finite = all(map(math.isfinite, coords))
-        except OverflowError:
+        points = chain(self.observer_points, self.current_destinations, self.target_eval_points)
+        try:  # unpacking raises for a point that is not a pair; isfinite for an int beyond float range
+            finite = all([isfinite(x) and isfinite(y) for x, y in points])
+        except (ValueError, TypeError, OverflowError):
             finite = False
         if not finite:
-            raise ValueError("observer points, destinations and target points must be finite")
+            raise ValueError("observer points, destinations and target points must be finite (x, y) pairs")
 
 
 def _rows_to_points(rows: np.ndarray) -> list[Point]:
@@ -204,7 +204,7 @@ def kmeans_control(inp: ControlInput) -> list[Point]:
         nonempty = sizes > 0
         moved[nonempty] = sums[nonempty] / sizes[nonempty, None]
         # sqrt is correctly rounded and monotone, so this is the largest root
-        shift = math.sqrt(float(((moved - centroids) ** 2).sum(axis=1).max()))
+        shift = sqrt(float(((moved - centroids) ** 2).sum(axis=1).max()))
         centroids, last = moved, key
         if shift < KMEANS_TOL:
             break

@@ -31,7 +31,7 @@ from .controllers import (
     kmeans_control,
 )
 from .geometry import Point
-from .metrics import finalize_rho, observation_matrix
+from .metrics import observation_matrix
 from .world import (
     ARENA,
     MAX_SPEED,
@@ -144,8 +144,10 @@ def run_simulation(
     The world advances in lockstep: destinations are refreshed on schedule,
     every target takes one random-walk step, every observer moves toward its
     destination, and the observed-target count is sampled after motion at
-    each of t = 1..steps. record_counts keeps the per-step counts and
-    record_targets the per-step target positions, for inspection.
+    each of t = 1..steps. The coverage index is ρ = Σₜ observedₜ / steps /
+    n_targets, the mean fraction of targets observed, in [0, 1].
+    record_counts keeps the per-step counts and record_targets the per-step
+    target positions, for inspection.
     """
     start = time.perf_counter()
 
@@ -182,7 +184,7 @@ def run_simulation(
             trace.append(tuple(map(Point._make, target_pts)))
 
     return RunResult(
-        rho=finalize_rho(observed_sum, cfg.steps, cfg.n_targets),
+        rho=observed_sum / cfg.steps / cfg.n_targets,
         config=cfg,
         wall_time=time.perf_counter() - start,
         observed_counts=tuple(counts) if record_counts else None,

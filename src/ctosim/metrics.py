@@ -1,8 +1,7 @@
-"""Observation bookkeeping: who sees whom, and the time-averaged coverage index.
+"""Observation kernels: who sees whom, and how spread out the observers are.
 
-The quantity optimized throughout is the fraction of targets observed by at
-least one observer, averaged over the run. A target counts as observed by an
-observer when it lies within the observer's sensor range (closed disc).
+A target counts as observed by an observer when it lies within the
+observer's sensor range (closed disc).
 """
 
 from __future__ import annotations
@@ -58,16 +57,6 @@ def observation_matrix(
     """
     _rules.positive("sensor range", sr)
     return squared_distances(points_array(observer_points), points_array(target_points)) <= sr * sr
-
-
-def finalize_rho(observed_sum: int, steps: int, n_targets: int) -> float:
-    """Normalized coverage index: mean observed-target count over the run,
-    divided by the target population. Always in [0, 1]."""
-    if steps <= 0:
-        raise ValueError("no steps accumulated")
-    if n_targets <= 0:
-        raise ValueError(f"target population must be positive, got {n_targets}")
-    return observed_sum / steps / n_targets
 
 
 @lru_cache(maxsize=8)

@@ -282,12 +282,15 @@ def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tupl
     The projection continues along the current edge only; a target that
     would reach its vertex within the horizon is held at that vertex
     (branching beyond it is unpredictable). horizon = 0 gives the current
-    position exactly.
+    position exactly. ValueError, as from target_point, for a state whose
+    offset lies outside [0, length] before the projection.
     """
     _rules.horizon(horizon)
     edge, toward, offset, speed = state
-    offset += speed * horizon
     length = graph.edges[edge][2]
+    if not 0.0 <= offset <= length:
+        raise ValueError(f"offset {offset} outside [0, {length}] on edge {edge}")
+    offset += speed * horizon
     if offset > length:
         offset = length
     # A plain tuple in TargetState's field order: target_point only unpacks

@@ -149,6 +149,21 @@ class TestControlInputValidation:
         with pytest.raises(ValueError, match="must be finite"):
             ControlInput(**points, sr=5.0, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [(1.0,), (1.0, 1.0, 3.0)])
+    @pytest.mark.parametrize("field", ["observer_points", "current_destinations", "target_eval_points"])
+    def test_points_must_be_pairs(self, field, bad):
+        # a 3-coordinate destination or target went through: k-means and the
+        # climbers convert only the fields they read, and the scan chained
+        # every coordinate without counting them
+        points = {
+            "observer_points": ((0.0, 0.0), (1.0, 1.0)),
+            "current_destinations": ((0.0, 0.0), (1.0, 1.0)),
+            "target_eval_points": ((5.0, 5.0), (6.0, 6.0)),
+        }
+        points[field] = (points[field][0], bad)
+        with pytest.raises(ValueError, match=r"must be finite \(x, y\) pairs"):
+            ControlInput(**points, sr=5.0, rng=np.random.default_rng(0))
+
 
 def test_controller_kind_parse():
     assert ControllerKind.parse("kmeans") is ControllerKind.KMEANS

@@ -163,6 +163,9 @@ class TestRunSimulation:
         r = run_simulation(cfg, record_counts=True)
         assert len(r.observed_counts) == cfg.steps
         assert r.rho == sum(r.observed_counts) / cfg.steps / cfg.n_targets
+        # the time average of the per-step fractions observed
+        fractions_seen = [c / cfg.n_targets for c in r.observed_counts]
+        assert math.isclose(r.rho, float(np.mean(fractions_seen)), rel_tol=1e-12)
         # plain Python numbers, not numpy scalars, however the engine counts
         assert type(r.rho) is float
         assert all(type(c) is int for c in r.observed_counts)
@@ -339,7 +342,7 @@ def test_engine_imports_only_plain_ctosim_functions():
     # any other helper (an input rule, say) is called through its module.
     layered = {
         "generate_random_graph", "random_target_state", "step_target", "target_point",
-        "step_observer", "observation_matrix", "finalize_rho",
+        "step_observer", "observation_matrix",
         "kmeans_control", "hc_control", "hc_h_control", "hc_hp_control",
     }
     assert set(imported) <= layered, (

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctosim.engine import SimConfig
 from ctosim.geometry import Point
 from ctosim.metrics import (
-    finalize_rho,
     mean_pairwise_observer_distance,
     observation_matrix,
     points_array,
@@ -133,12 +133,12 @@ class TestCoverageFraction:
         assert _coverage(m) == 0.5
 
     def test_no_targets_rejected(self):
-        # the fraction of no targets is undefined: the matrix is empty and
-        # the coverage index refuses an empty population
+        # the fraction of no targets is undefined: the matrix is empty, and a
+        # run refuses an empty population before it divides by it
         m = observation_matrix([Point(0.0, 0.0)], [], sr=5.0)
         assert m.shape == (1, 0)
         with pytest.raises(ValueError):
-            finalize_rho(_observed(m), 1, m.shape[1])
+            SimConfig(n_targets=0)
 
 
 class TestAccumulation:
@@ -149,18 +149,9 @@ class TestAccumulation:
         assert len(counts) == 2
         assert sum(counts) == 2
 
-    def test_finalize_is_exact_division(self):
-        assert finalize_rho(18000, 1500, 24) == 0.5
-
-    def test_finalize_requires_steps(self):
-        with pytest.raises(ValueError):
-            finalize_rho(0, 0, 24)
-
-    def test_finalize_requires_targets(self):
-        with pytest.raises(ValueError):
-            finalize_rho(5, 10, 0)
-
     def test_equals_mean_of_per_step_fractions(self):
+        # the engine's coverage index, observed_sum / steps / n_targets, is the
+        # time average of the per-step observed fractions
         rng = np.random.default_rng(1)
         observed_sum = 0
         fracs = []
@@ -170,7 +161,7 @@ class TestAccumulation:
             m = observation_matrix(obs, tgt, 20.0)
             observed_sum += _observed(m)
             fracs.append(_coverage(m))
-        assert math.isclose(finalize_rho(observed_sum, 50, 9), float(np.mean(fracs)), rel_tol=1e-12)
+        assert math.isclose(observed_sum / 50 / 9, float(np.mean(fracs)), rel_tol=1e-12)
 
 
 class TestMeanPairwiseDistance:

@@ -587,6 +587,17 @@ class TestPredictTarget:
         with pytest.raises(ValueError):
             predict_target(triangle_graph(), TargetState(0, 1, 5.0, 0.5), -1)
 
+    @pytest.mark.parametrize("offset", [-1.0, 15.0, math.nan])
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_offset_off_the_edge_rejected(self, offset, horizon):
+        # an offset past the end was clamped to the vertex, and a negative one
+        # projected onto the edge, where target_point rejects both states
+        s = TargetState(0, 1, offset, 0.5)
+        with pytest.raises(ValueError, match=r"outside \[0, 10\.0\] on edge 0"):
+            target_point(triangle_graph(), s)
+        with pytest.raises(ValueError, match=r"outside \[0, 10\.0\] on edge 0"):
+            predict_target(triangle_graph(), s, horizon)
+
 
 @lru_cache(maxsize=1)
 def _property_graph() -> PlanarGraph:
