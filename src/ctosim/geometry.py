@@ -1,10 +1,10 @@
 """Planar geometry primitives and Delaunay triangulation.
 
-The triangulation is the exact Delaunay triangulation, found by testing
-every triple of points for an empty circumcircle through the lifting map. It
-is built for the modest point counts the simulator needs (tens of vertices)
-and is verified against brute-force empty-circumcircle and
-segment-intersection oracles, and against Qhull, in the test suite.
+The triangulation is the exact Delaunay triangulation, found by gift
+wrapping and then checked, triangle by triangle, for an empty circumcircle
+through the lifting map. It is verified against a brute-force triangulation
+over all triples, empty-circumcircle and segment-intersection oracles, and
+Qhull, in the test suite.
 """
 
 from __future__ import annotations
@@ -25,32 +25,33 @@ class TriangulationError(ValueError):
     """The input point set has no valid triangulation."""
 
 
-# Triples whose planes delaunay_triangulate tests at once, at about 200
-# bytes of working arrays each. At this size a 40-point build (9880
-# triples, three blocks) peaks at 1.07 MB traced against 1.75 MB for one
-# block, and its median time rose 0.19 ms, from 2.83 ms (2-core VM).
-TRIPLE_BLOCK = 4096
-
 _BAD_POINTS = "points must be finite (x, y) pairs small enough to lift"
 
 
 def delaunay_triangulate(points: Sequence[Point]) -> list[tuple[int, int, int]]:
-    """Delaunay triangulation of a point set, by brute force over all triples.
+    """Delaunay triangulation of a point set, by gift wrapping.
 
-    The lifting map (x, y) -> (x, y, x² + y²) turns "no point strictly inside
-    the circumcircle of a, b, c" into "no lifted point strictly below the
-    plane through the lifted a, b, c" (de Berg et al., Computational
-    Geometry, 3rd ed., ch. 9), so every triple passing that test is a
-    Delaunay triangle. The work is O(n⁴) in time. In memory it is the
-    O(n³) triple indices plus one block of at most TRIPLE_BLOCK triples'
-    planes: the test runs block by block, in index order.
+    From the edge between point 0 and its nearest neighbour, always a
+    Delaunay edge, each directed edge a→b with no triangle yet on its left
+    takes as apex the point c on its left that minimises cot∠acb: Chand and
+    Kapur's gift wrapping in the plane, O(n) numpy work per triangle. An
+    edge with no point on its left is a hull edge.
 
-    Returns triangles as ascending index triples into ``points``. Raises
+    The walk is not trusted. The lifting map (x, y) -> (x, y, x² + y²) turns
+    "no point strictly inside the circumcircle of a, b, c" into "no lifted
+    point strictly below the plane through the lifted a, b, c" (de Berg et
+    al., Computational Geometry, 3rd ed., ch. 9). Every triangle found is
+    tested so against all points, within a rounding bound, and the
+    triangles must tile: none overlap, every point is used, V - E + T = 1.
+
+    Returns triangles as ascending index triples into ``points``, sorted by
+    their largest index, then the middle one, then the smallest. Raises
     TriangulationError for fewer than three points, for points that are not
     finite (x, y) pairs small enough to lift, and for inputs whose
     triangulation is not unique within rounding error: all points
     collinear, a repeated point, or four points on (or within rounding of)
-    one circle.
+    one circle. Near a line, an input that a test of every triple rejects
+    for a circle may be rejected here for the line.
     """
     n = len(points)
     if n < 3:
@@ -68,39 +69,60 @@ def delaunay_triangulate(points: Sequence[Point]) -> list[tuple[int, int, int]]:
         # size, and M_z >= M_x², M_y². Charging each rounding in the centring,
         # the lift, the differences, the cross product and the two dot products
         # u = 2⁻⁵³ times the largest product it can touch, and summing, gives
-        # under 800 u Π for normal @ q - offset (Π = M_x M_y M_z) and under
-        # 50 u M_x M_y for normal[:, 2]; the tolerances round up to 2¹⁰ and 2⁶.
+        # under 800 u Π for normal·q - offset (Π = M_x M_y M_z) and under
+        # 50 u M_x M_y for a cross product of differences; the tolerances
+        # round up to 2¹⁰ and 2⁶.
         m = np.abs(lifted).max(axis=0)
         u = 2.0**-53
         tol = 2**10 * u * m.prod()
     if not np.isfinite(tol):  # a nan or inf coordinate, or a lift that overflows
         raise TriangulationError(_BAD_POINTS)
     flat = 2**6 * u * m[0] * m[1]
-    below = np.tri(n, k=-1, dtype=bool)
-    every_i, every_j, every_k = np.nonzero(below[:, :, None] & below[None])  # every i > j > k
-    triangles = []
-    for start in range(0, len(every_i), TRIPLE_BLOCK):
-        block = slice(start, start + TRIPLE_BLOCK)
-        i, j, k = every_i[block], every_j[block], every_k[block]
-        a = lifted[i]
-        normal = np.cross(lifted[j] - a, lifted[k] - a)
-        normal[normal[:, 2] < 0.0] *= -1.0  # z points up
-        offset = np.einsum("ij,ij->i", normal, a)
-        empty = normal[:, 2] > flat  # flat triples are no triangles
-        touching = np.zeros(len(i), dtype=np.int64)
-        for q in lifted:
-            side = normal @ q - offset
-            empty &= side >= -tol
-            touching += side <= tol
-        # A kept triple's own corners lie within tol of its plane; a fourth
-        # point there could lie on either side, and so could the diagonal it
-        # implies.
-        if np.any(touching[empty] > 3):
-            raise TriangulationError("four points lie on one circle within rounding error")
-        triangles.extend(zip(k[empty].tolist(), j[empty].tolist(), i[empty].tolist()))
-    # A triangulated disc has V - E + T = 1; a hole left by a flat triple
-    # that was a Delaunay triangle breaks it.
-    if n - len(triangulation_edges(triangles)) + len(triangles) != 1:
+    x, y = xy.T
+    xs, ys = xy.T.tolist()
+    gap = (x - xs[0]) ** 2 + (y - ys[0]) ** 2
+    first = int(np.where(gap > 0.0, gap, np.inf).argmin())  # not point 0, nor a repeat of it
+    walk = []  # (a, b, c), each counterclockwise
+    done = set()  # directed edges with a triangle on their left
+    todo = [(0, first), (first, 0)]
+    while todo:
+        a, b = todo.pop()
+        if (a, b) in done:
+            continue
+        ax, ay = x - xs[a], y - ys[a]
+        bx, by = x - xs[b], y - ys[b]
+        cross = ax * by - ay * bx  # (c - a) × (c - b), > 0 left of a→b
+        (left,) = (cross > flat).nonzero()
+        if not len(left):
+            continue  # a hull edge
+        c = int(left[((ax[left] * bx[left] + ay[left] * by[left]) / cross[left]).argmin()])
+        walk.append((a, b, c))
+        done.update(((a, b), (b, c), (c, a)))
+        todo += ((c, b), (a, c))
+    ijk = sorted(tuple(sorted(t, reverse=True)) for t in walk)  # i > j > k, sorted by i, then j, then k
+    i, j, k = np.array(ijk, dtype=np.intp).reshape(-1, 3).T
+    # The plane test, per triangle, against every lifted point.
+    a = lifted[i].T
+    d, e = lifted[j].T - a, lifted[k].T - a
+    normal = np.array([d[1] * e[2] - d[2] * e[1], d[2] * e[0] - d[0] * e[2], d[0] * e[1] - d[1] * e[0]])
+    normal[:, normal[2] < 0.0] *= -1.0  # z points up
+    offset = normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
+    nx, ny, nz = normal[:, :, None]  # a row per triangle, a column per point
+    side = nx * lifted[:, 0] + ny * lifted[:, 1] + nz * lifted[:, 2] - offset[:, None]
+    empty = (normal[2] > flat) & (side >= -tol).all(axis=1)
+    # A triangle's own corners lie within tol of its plane; a fourth point
+    # there could lie on either side, and so could the diagonal it implies.
+    if np.any((side <= tol).sum(axis=1)[empty] > 3):
+        raise TriangulationError("four points lie on one circle within rounding error")
+    triangles = [(k, j, i) for i, j, k in ijk]
+    # A triangulated disc has V - E + T = 1. Overlapping triangles share a
+    # directed edge; a point the walk missed lies off every triangle.
+    if (
+        not empty.all()
+        or len(done) != 3 * len(walk)
+        or len({v for t in walk for v in t}) != n
+        or n - len(triangulation_edges(triangles)) + len(triangles) != 1
+    ):
         raise TriangulationError("points are collinear or too close to it to triangulate")
     return triangles
 

@@ -17,7 +17,9 @@ import numpy as np
 from . import _rules
 from .geometry import Point, delaunay_triangulate, triangulation_edges
 
-#: Most graph vertices a world may have: triangulation is O(n⁴) work.
+#: Most graph vertices a world may have: the range over which generated
+#: graphs are checked against Qhull and pinned by digest, and the size at
+#: which GRAPH_MEMO's bound below was measured.
 MAX_VERTICES = 100
 
 #: The arena's width and height, a constant of the model.

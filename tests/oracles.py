@@ -7,6 +7,7 @@ meaningful rather than circular.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -18,11 +19,15 @@ XY = tuple[float, float]
 def observed_count_loops(
     observer_points: Sequence[XY], target_points: Sequence[XY], sr: float
 ) -> int:
-    """Number of targets with at least one observer within sr (closed disc)."""
+    """Number of targets with at least one observer within sr (closed disc).
+
+    Squared distance against sr², as the package's kernel compares: a
+    square root would round once more and could move a target on the rim.
+    """
     count = 0
     for tx, ty in target_points:
         for ox, oy in observer_points:
-            if math.sqrt((tx - ox) ** 2 + (ty - oy) ** 2) <= sr:
+            if (ox - tx) * (ox - tx) + (oy - ty) * (oy - ty) <= sr * sr:
                 count += 1
                 break
     return count
@@ -70,6 +75,66 @@ def delaunay_violations(points: Sequence[XY], triangles) -> list[tuple[int, int]
             if (px - ux) ** 2 + (py - uy) ** 2 < r2 * (1.0 - 1e-9):
                 bad.append((ti, pi))
     return bad
+
+
+def delaunay_triangulate_brute_force(points, block: int = 4096) -> list[tuple[int, int, int]]:
+    """Delaunay triangulation by testing every triple of points, O(n⁴).
+
+    The lifting map (x, y) -> (x, y, x² + y²) turns "no point strictly
+    inside the circumcircle of a, b, c" into "no lifted point strictly below
+    the plane through the lifted a, b, c", so every triple passing that test
+    is a Delaunay triangle. The checks, the tolerances, the error messages
+    and the order of the result are the package's, so the two can be
+    compared outcome for outcome; this one raises plain ValueError. The
+    triples are tested ``block`` at a time, in index order, which bounds the
+    working arrays and changes no outcome.
+    """
+    n = len(points)
+    if n < 3:
+        raise ValueError(f"need at least 3 points, got {n}")
+    bad_points = "points must be finite (x, y) pairs small enough to lift"
+    try:
+        xy = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        xy = None
+    if xy is None or xy.shape != (n, 2):
+        raise ValueError(bad_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xy = xy - xy.mean(axis=0)
+        lifted = np.column_stack([xy, (xy * xy).sum(axis=1)])
+        m = np.abs(lifted).max(axis=0)  # the rounding bound of ctosim.geometry
+        u = 2.0**-53
+        tol = 2**10 * u * m.prod()
+    if not np.isfinite(tol):  # a nan or inf coordinate, or a lift that overflows
+        raise ValueError(bad_points)
+    flat = 2**6 * u * m[0] * m[1]
+    below = np.tri(n, k=-1, dtype=bool)
+    every_i, every_j, every_k = np.nonzero(below[:, :, None] & below[None])  # every i > j > k
+    triangles = []
+    for start in range(0, len(every_i), block):
+        i, j, k = (every[start : start + block] for every in (every_i, every_j, every_k))
+        a = lifted[i]
+        normal = np.cross(lifted[j] - a, lifted[k] - a)
+        normal[normal[:, 2] < 0.0] *= -1.0  # z points up
+        offset = np.einsum("ij,ij->i", normal, a)
+        empty = normal[:, 2] > flat  # flat triples are no triangles
+        touching = np.zeros(len(i), dtype=np.int64)
+        for q in lifted:
+            side = normal @ q - offset
+            empty &= side >= -tol
+            touching += side <= tol
+        # A kept triple's own corners lie within tol of its plane; a fourth
+        # point there could lie on either side, and so could the diagonal it
+        # implies.
+        if np.any(touching[empty] > 3):
+            raise ValueError("four points lie on one circle within rounding error")
+        triangles.extend(zip(k[empty].tolist(), j[empty].tolist(), i[empty].tolist()))
+    edges = {e for t in triangles for e in itertools.combinations(t, 2)}  # t is ascending
+    # A triangulated disc has V - E + T = 1; a hole left by a flat triple
+    # that was a Delaunay triangle breaks it.
+    if n - len(edges) + len(triangles) != 1:
+        raise ValueError("points are collinear or too close to it to triangulate")
+    return triangles
 
 
 def _orient(p: XY, q: XY, r: XY) -> int:

@@ -51,6 +51,15 @@ class TestObservationMatrix:
         with pytest.raises(ValueError, match="sensor range"):
             observation_matrix([Point(0.0, 0.0)], [Point(1.0, 0.0)], sr=math.nan)
 
+    def test_rim_case_agrees_with_the_loop_oracle(self):
+        # sqrt(d²) rounds to sr here while d² > sr²: the kernel and the
+        # oracle both compare squares, and both miss the target.
+        obs = [(96.34415443986684, 27.885939884207655)]
+        tgt = [(72.62877641080541, 19.102269167641243)]
+        sr = 25.289761294214614
+        assert _observed(observation_matrix(_pts(obs), _pts(tgt), sr)) == 0
+        assert observed_count_loops(obs, tgt, sr) == 0
+
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
