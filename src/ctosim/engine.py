@@ -160,7 +160,8 @@ def run_simulation(
     graph = generate_random_graph(cfg.n_vertices, cfg.seed)
     targets = [random_target_state(graph, cfg.rv, target_rng) for _ in range(cfg.n_targets)]
     coords = observer_rng.uniform(0.0, ARENA, size=(cfg.n_observers, 2))
-    observers = [ObserverState(Point(float(x), float(y)), Point(float(x), float(y))) for x, y in coords]
+    # at rest: position and destination are one object, so step_observer returns the state as is
+    observers = [ObserverState(p, p) for p in map(Point._make, coords.tolist())]
 
     target_pts = tuple([target_point(graph, s) for s in targets])
     period = update_period(cfg.ur)

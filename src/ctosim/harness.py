@@ -93,10 +93,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One completed run inside a sweep."""
+    """One completed run inside a sweep; its config holds the controller and the swept value."""
 
-    controller: ControllerKind
-    value: float
     result: RunResult
 
 
@@ -161,7 +159,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
                         f"run failed: controller={cfg.controller.value} "
                         f"{spec.varied}={getattr(cfg, spec.varied)} seed={cfg.seed}: {exc}"
                     ) from exc
-                records.append(RunRecord(controller=ctrl, value=value, result=result))
+                records.append(RunRecord(result))
                 rhos.append(result.rho)
             sd = statistics.stdev(rhos) if len(rhos) > 1 else 0.0
             summaries.append(
@@ -201,11 +199,10 @@ def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
         runs_path,
         ["controller", "varied_param", "value", "sr", "rv", "ur", "seed", "rho", "wall_time_s"],
         (
-            [rec.controller.value, result.varied, _fmt_value(rec.value),
-             _fmt_value(rec.result.config.sr), _fmt_value(rec.result.config.rv),
-             _fmt_value(rec.result.config.ur), rec.result.config.seed,
-             f"{rec.result.rho:.6f}", f"{rec.result.wall_time:.6f}"]
-            for rec in result.records
+            [run.config.controller.value, result.varied, _fmt_value(getattr(run.config, result.varied)),
+             _fmt_value(run.config.sr), _fmt_value(run.config.rv), _fmt_value(run.config.ur),
+             run.config.seed, f"{run.rho:.6f}", f"{run.wall_time:.6f}"]
+            for run in (rec.result for rec in result.records)
         ),
     )
     _write_table(

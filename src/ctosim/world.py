@@ -26,16 +26,11 @@ MAX_VERTICES = 100
 ARENA = (150.0, 150.0)
 
 #: Fastest target speed in length units per step: the arena's diagonal.
-#: SimConfig's rv and random_target_state both apply it.
+#: SimConfig's rv, random_target_state and step_target's crossings all apply it.
 MAX_SPEED = math.hypot(*ARENA)
 
-#: Fastest speed step_target accepts: a state built by hand may walk several
-#: of its graph's longest edges in one step, as the oracle tests do. The
-#: bound caps how far one step walks.
-MAX_STEP_SPEED = 4 * MAX_SPEED
-
 #: Most vertices one step_target call crosses. Only a hand-made graph with
-#: edges shorter than MAX_STEP_SPEED / MAX_CROSSINGS (about 0.085) can need
+#: edges shorter than MAX_SPEED / MAX_CROSSINGS (about 0.021) can need
 #: more; on edges below the rounding of the offset the loop would never end.
 MAX_CROSSINGS = 10_000
 
@@ -226,7 +221,7 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
     the same step.
 
     A step that reaches the vertex checks the state first, so that its
-    crossing loop ends: ValueError unless the speed is in (0, MAX_STEP_SPEED]
+    crossing loop ends: ValueError unless the speed is in (0, MAX_SPEED]
     and the starting offset lies in [0, length], and ValueError once the
     step has crossed MAX_CROSSINGS vertices without coming to rest. A step
     within the edge checks nothing.
@@ -235,7 +230,7 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
     offset = start + speed
     length = graph.edges[edge][2]
     if offset >= length:
-        _rules.positive("target speed", speed, MAX_STEP_SPEED)
+        _rules.positive("target speed", speed, MAX_SPEED)
         if not 0.0 <= start <= length:
             raise ValueError(f"offset {start} outside [0, {length}] on edge {edge}")
         for _ in range(MAX_CROSSINGS):

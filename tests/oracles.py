@@ -13,6 +13,17 @@ from typing import Sequence
 
 import numpy as np
 
+from ctosim.controllers import (
+    N_CANDIDATES,
+    ControlInput,
+    ControllerKind,
+    hc_control,
+    hc_h_control,
+    hc_hp_control,
+    kmeans_control,
+)
+from ctosim.world import ARENA, generate_random_graph
+
 XY = tuple[float, float]
 
 
@@ -323,3 +334,56 @@ def kmeans_lloyd_reference(targets: np.ndarray, observers: np.ndarray, max_iters
         if shift < tol:
             break
     return centroids, rounds
+
+
+
+# -- whole run ----------------------------------------------------------------
+
+
+def reference_run(cfg) -> float:
+    """The coverage index of one run, from the scalar references above.
+
+    The same four ``SeedSequence(cfg.seed)`` children as the engine: the
+    package's graph from child 0, then targets, observers and controller.
+    Targets are placed by their own draws (edge, offset, heading) and
+    stepped with ``step_target_scalar``; observers start at their drawn
+    points and step with ``step_observer_scalar``. The package's
+    controllers choose destinations every round(1 / ur) steps from step 0,
+    before motion. After motion each step counts the targets within sr of
+    an observer, ``d² <= sr²``, as ``observed_count_loops`` does.
+    """
+    target_rng, observer_rng, controller_rng = map(
+        np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(4)[1:]
+    )
+    graph = generate_random_graph(cfg.n_vertices, cfg.seed)
+    vertices, edges, adjacency = graph.vertices, graph.edges, graph.adjacency
+    targets = []
+    for _ in range(cfg.n_targets):
+        edge = int(target_rng.integers(len(edges)))
+        u, v, length = edges[edge][:3]
+        offset = float(target_rng.uniform(0.0, length))
+        targets.append((edge, v if int(target_rng.integers(2)) else u, offset, cfg.rv))
+    drawn = observer_rng.uniform(0.0, ARENA, size=(cfg.n_observers, 2))
+    positions = [(float(x), float(y)) for x, y in drawn]
+    destinations = list(positions)
+    points = [target_point_scalar(vertices, edges, s) for s in targets]
+    period = round(1.0 / cfg.ur)
+    observed = 0
+    for t in range(cfg.steps):
+        if t % period == 0:
+            inp = ControlInput(tuple(positions), tuple(destinations), tuple(points), cfg.sr, controller_rng)
+            if cfg.controller is ControllerKind.KMEANS:
+                chosen = kmeans_control(inp)
+            elif cfg.controller is ControllerKind.HC:
+                chosen = hc_control(inp, N_CANDIDATES)
+            elif cfg.controller is ControllerKind.HC_H:
+                chosen = hc_h_control(inp, N_CANDIDATES)
+            else:
+                chosen = hc_hp_control(inp, N_CANDIDATES, cfg.horizon, graph, targets)
+            destinations = [(float(x), float(y)) for x, y in chosen]
+        targets = [step_target_scalar(edges, adjacency, s, target_rng) for s in targets]
+        moves = [step_observer_scalar(p, d) for p, d in zip(positions, destinations)]
+        positions, destinations = [p for p, _ in moves], [d for _, d in moves]
+        points = [target_point_scalar(vertices, edges, s) for s in targets]
+        observed += observed_count_loops(positions, points, cfg.sr)
+    return observed / cfg.steps / cfg.n_targets

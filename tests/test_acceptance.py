@@ -63,7 +63,7 @@ def _cell_rhos(sweep, controller: ControllerKind, value: float) -> list[tuple[in
     return [
         (r.result.config.seed, r.result.rho)
         for r in sweep.records
-        if r.controller is controller and r.value == value
+        if r.result.config.controller is controller and getattr(r.result.config, sweep.varied) == value
     ]
 
 

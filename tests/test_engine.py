@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctosim.controllers as controllers
 import ctosim.engine as engine
@@ -19,7 +21,9 @@ from ctosim.engine import (
     update_period,
 )
 from ctosim.geometry import Point
-from ctosim.world import ARENA
+from ctosim.world import ARENA, MAX_SPEED
+
+from oracles import reference_run
 
 # a deliberately small world so each run takes milliseconds
 SMALL = dict(steps=150, n_vertices=12, n_observers=4, n_targets=6)
@@ -174,6 +178,21 @@ class TestRunSimulation:
         assert r.config is cfg
         assert r.wall_time > 0.0
 
+    def test_observers_start_at_rest(self, monkeypatch):
+        # one point per observer, its position and destination one object, so
+        # step_observer's at-rest rule holds from step 0
+        inputs = []
+
+        def record_call(inp, *args):
+            inputs.append(inp)
+            return control(inp, *args)
+
+        control = engine.hc_control
+        monkeypatch.setattr(engine, "hc_control", record_call)
+        run_simulation(SimConfig(seed=2, controller=ControllerKind.HC, **SMALL))
+        first = inputs[0]
+        assert all(p is d for p, d in zip(first.observer_points, first.current_destinations, strict=True))
+
     def test_counts_not_kept_unless_asked(self):
         r = run_simulation(SimConfig(seed=2, **SMALL))
         assert r.observed_counts is None
@@ -285,6 +304,27 @@ def test_rho_is_bitwise_pinned_for_fast_targets(label, setting):
         for s in range(4)
     )
     assert got == GOLDEN_RHO_FAST[(label, setting)]
+
+
+# 120 examples take 2–4 s on a 2-core Xeon VM.
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    controller=st.sampled_from(list(ControllerKind)),
+    n_vertices=st.integers(min_value=3, max_value=40),
+    n_observers=st.integers(min_value=1, max_value=30),
+    n_targets=st.integers(min_value=1, max_value=30),
+    sr=st.floats(min_value=0.5, max_value=220.0),
+    rv=st.one_of(st.floats(min_value=0.01, max_value=2.0), st.floats(min_value=2.0, max_value=MAX_SPEED)),
+    ur=st.floats(min_value=0.01, max_value=1.0),
+    horizon=st.integers(min_value=0, max_value=30),
+    steps=st.integers(min_value=1, max_value=200),
+)
+def test_run_equals_the_reference_engine(**fields):
+    # the scalar world steps, the loop counter and the engine's order (control,
+    # targets, observers, sensing after motion) give the same rho bit for bit
+    cfg = SimConfig(**fields)
+    assert run_simulation(cfg).rho.hex() == reference_run(cfg).hex()
 
 
 def test_world_calls_go_through_the_engine_module_names(monkeypatch):

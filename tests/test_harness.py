@@ -172,7 +172,7 @@ class TestRunSweep:
         result = two_controller_result
         # cells are ordered controller-major, then value, then seed
         assert len(result.records) == 2 * 2 * 3
-        keys = [(r.controller, r.value, r.result.config.seed) for r in result.records]
+        keys = [(r.result.config.controller, r.result.config.sr, r.result.config.seed) for r in result.records]
         expected = [
             (ctrl, value, seed)
             for ctrl in (ControllerKind.KMEANS, ControllerKind.HC)
@@ -184,8 +184,6 @@ class TestRunSweep:
     def test_varied_parameter_is_applied(self, two_controller_result):
         result = two_controller_result
         for rec in result.records:
-            assert rec.result.config.sr == rec.value
-            assert rec.result.config.controller is rec.controller
             assert rec.result.config.rv == SMALL_BASE.rv  # non-swept stays at base
 
     def test_summaries_match_records(self, two_controller_result):
@@ -196,7 +194,7 @@ class TestRunSweep:
             rhos = [
                 r.result.rho
                 for r in result.records
-                if r.controller is cell.controller and r.value == cell.value
+                if r.result.config.controller is cell.controller and r.result.config.sr == cell.value
             ]
             assert cell.runs == 3
             assert cell.m == statistics.mean(rhos)
@@ -204,10 +202,9 @@ class TestRunSweep:
 
     def test_seeds_are_paired_across_controllers(self, two_controller_result):
         result = two_controller_result
-        kmeans_seeds = [
-            r.result.config.seed for r in result.records if r.controller is ControllerKind.KMEANS
-        ]
-        hc_seeds = [r.result.config.seed for r in result.records if r.controller is ControllerKind.HC]
+        configs = [r.result.config for r in result.records]
+        kmeans_seeds = [cfg.seed for cfg in configs if cfg.controller is ControllerKind.KMEANS]
+        hc_seeds = [cfg.seed for cfg in configs if cfg.controller is ControllerKind.HC]
         assert kmeans_seeds == hc_seeds
 
     def test_single_run_cell_has_zero_sd(self):

@@ -22,7 +22,6 @@ from ctosim.world import (
     GRAPH_MEMO,
     MAX_CROSSINGS,
     MAX_SPEED,
-    MAX_STEP_SPEED,
     GraphGenerationError,
     ObserverState,
     PlanarGraph,
@@ -403,8 +402,8 @@ class TestStepTarget:
     @pytest.mark.parametrize(
         "offset, speed, message",
         [
-            (9.8, math.inf, r"target speed must be a finite number in \(0, 848\.528\], got inf"),
-            (9.8, 1e300, r"target speed must be a finite number in \(0, 848\.528\], got 1e\+300"),
+            (9.8, math.inf, r"target speed must be a finite number in \(0, 212\.132\], got inf"),
+            (9.8, 1e300, r"target speed must be a finite number in \(0, 212\.132\], got 1e\+300"),
             (1e300, 0.5, r"offset 1e\+300 outside \[0, 10\.0\] on edge 0"),
         ],
         ids=["inf-speed", "1e300-speed", "1e300-offset"],
@@ -417,7 +416,7 @@ class TestStepTarget:
     def test_the_step_bound_itself_is_accepted(self):
         g = triangle_graph()
         with time_limit(10):
-            s = step_target(g, TargetState(0, 1, 10.0, MAX_STEP_SPEED), np.random.default_rng(0))
+            s = step_target(g, TargetState(0, 1, 10.0, MAX_SPEED), np.random.default_rng(0))
         assert 0.0 <= s.offset <= g.edges[s.edge][2]
 
     def test_edges_below_the_rounding_of_the_offset_raise(self):
@@ -430,11 +429,11 @@ class TestStepTarget:
 
     def test_a_step_within_the_crossing_cap_is_accepted(self):
         # edges twice the length the cap allows: about MAX_CROSSINGS / 2 crossings at the top speed
-        side = 2 * MAX_STEP_SPEED / MAX_CROSSINGS
+        side = 2 * MAX_SPEED / MAX_CROSSINGS
         verts = [Point(0.0, 0.0), Point(side, 0.0), Point(side / 2, side * math.sqrt(3) / 2)]
         g = PlanarGraph.from_index_pairs(verts, [(0, 1), (1, 2), (0, 2)])
         with time_limit(10):
-            s = step_target(g, TargetState(0, 1, 0.0, MAX_STEP_SPEED), np.random.default_rng(0))
+            s = step_target(g, TargetState(0, 1, 0.0, MAX_SPEED), np.random.default_rng(0))
         assert 0.0 <= s.offset < g.edges[s.edge][2]
 
     def test_edge_choice_uniform_at_vertex(self):
@@ -655,8 +654,10 @@ def test_target_world_step_equals_the_scalar_oracle(which, edge, frac, head, spe
     longest = max(e[2] for e in g.edges)
     ei = edge % len(g.edges)
     u, v, length = g.edges[ei][:3]
-    # frac 1.0 puts the target exactly on the vertex it heads toward
-    s = TargetState(ei, v if head else u, length if frac == 1.0 else frac * length, speed_frac * longest)
+    # frac 1.0 puts the target exactly on the vertex it heads toward; step_target
+    # takes no speed above MAX_SPEED, and the short edges still cross several vertices
+    speed = min(speed_frac * longest, MAX_SPEED)
+    s = TargetState(ei, v if head else u, length if frac == 1.0 else frac * length, speed)
     plain = (s.edge, s.toward, s.offset, s.speed)
     point = target_point(g, s)
     assert _plain_pair(point)
