@@ -70,9 +70,7 @@ class SweepSpec:
         for v in self.values:
             # SimConfig's number rule up front: True == 1.0 is a standard value
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or v not in allowed:
-                raise ValueError(
-                    f"{self.varied}={v} is not a standard sweep value {allowed}"
-                )
+                raise ValueError(f"{self.varied}={v} is not a standard sweep value {allowed}")
         if not self.controllers:
             raise ValueError("at least one controller is required")
         if not all(isinstance(kind, ControllerKind) for kind in self.controllers):
@@ -187,10 +185,13 @@ def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
 
     Files are UTF-8 with LF line endings; the settings are written as the
     shortest text that reads back as the same float, and floating-point
-    statistics carry six digits after the decimal point.
+    statistics carry six digits after the decimal point. A result without
+    records, or whose varied is not sr, rv or ur, raises ValueError first.
     """
     if not result.records:
         raise ValueError("sweep produced no records; nothing to write")
+    if result.varied not in _VALUE_SETS:  # it names the output files
+        raise ValueError(f"varied must be one of sr, rv, ur; got {result.varied!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs_path = out / f"{result.varied}_runs.csv"

@@ -185,10 +185,8 @@ def _build_graph(n_vertices: int, seed: int) -> PlanarGraph:
 
 
 def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generator) -> TargetState:
-    """Place a target uniformly: random edge, random offset along it, random heading."""
-    # Two rules: a nan, infinite or non-positive speed keeps the unbounded
-    # rule's "> 0" message, and one above MAX_SPEED gets SimConfig's rv message.
-    _rules.positive("target speed", speed)
+    """Place a target uniformly: random edge, random offset along it, random heading.
+    ValueError unless the speed is in (0, MAX_SPEED], in SimConfig's rv wording."""
     _rules.positive("target speed", speed, MAX_SPEED)
     edge = int(rng.integers(len(graph.edges)))
     u, v, length = graph.edges[edge][:3]
@@ -198,10 +196,11 @@ def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generat
 
 
 def target_point(graph: PlanarGraph, state: TargetState) -> tuple[float, float]:
-    """Planar position of a target state on its edge, as a plain (x, y) pair."""
+    """Planar position of a target state on its edge, as a plain (x, y) pair. ValueError for
+    a negative edge index, a heading off the edge's ends, or an offset outside [0, length]."""
     edge, toward, offset, _ = state
     u, v, length, ux, uy, vx, vy, ex, ey = graph.edges[edge]
-    if toward != v and toward != u:
+    if edge < 0 or toward != v and toward != u:
         raise ValueError(f"state heads toward vertex {toward}, not an endpoint of edge {edge}")
     if not 0.0 <= offset <= length:
         raise ValueError(f"offset {offset} outside [0, {length}] on edge {edge}")
@@ -222,17 +221,16 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
 
     A step that reaches the vertex checks the state first, so that its
     crossing loop ends: ValueError unless the speed is in (0, MAX_SPEED]
-    and the starting offset lies in [0, length], and ValueError once the
-    step has crossed MAX_CROSSINGS vertices without coming to rest. A step
-    within the edge checks nothing.
+    and target_point accepts the state, and ValueError once the step has
+    crossed MAX_CROSSINGS vertices without coming to rest. A step within
+    the edge checks nothing.
     """
     edge, toward, start, speed = state
     offset = start + speed
     length = graph.edges[edge][2]
     if offset >= length:
         _rules.positive("target speed", speed, MAX_SPEED)
-        if not 0.0 <= start <= length:
-            raise ValueError(f"offset {start} outside [0, {length}] on edge {edge}")
+        target_point(graph, state)
         for _ in range(MAX_CROSSINGS):
             offset -= length
             incident = graph.adjacency[toward]
@@ -279,8 +277,8 @@ def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tupl
     The projection continues along the current edge only; a target that
     would reach its vertex within the horizon is held at that vertex
     (branching beyond it is unpredictable). horizon = 0 gives the current
-    position exactly. ValueError, as from target_point, for a state whose
-    offset lies outside [0, length] before the projection.
+    position exactly. ValueError for a state that target_point rejects,
+    its offset checked against [0, length] before the projection.
     """
     _rules.horizon(horizon)
     edge, toward, offset, speed = state

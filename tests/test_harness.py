@@ -375,7 +375,7 @@ class TestEmitCsv:
         runs2, summary2 = emit_csv(again, tmp_path)
         assert summary2.read_bytes() == summary_path.read_bytes()
         strip = lambda p: [
-            row[:8] for row in csv.reader(open(p, encoding="utf-8"))
+            row[:8] for row in csv.reader(p.read_text(encoding="utf-8").splitlines())
         ]  # drop wall_time_s, the one timing-dependent column
         assert strip(runs2) == strip(runs_path)
 
@@ -407,6 +407,15 @@ class TestEmitCsv:
         empty = harness.SweepResult(varied="sr", records=(), summaries=())
         with pytest.raises(ValueError, match="no records"):
             emit_csv(empty, tmp_path)
+
+    @pytest.mark.parametrize("varied", ["../escaped", "rho", ""])
+    def test_unknown_varied_rejected_before_anything_is_written(self, emitted, tmp_path, varied):
+        # "../escaped" wrote a header-only escaped_runs.csv beside out_dir, then raised AttributeError
+        result, _, _ = emitted
+        bad = harness.SweepResult(varied=varied, records=result.records, summaries=result.summaries)
+        with pytest.raises(ValueError, match=re.escape(f"varied must be one of sr, rv, ur; got {varied!r}")):
+            emit_csv(bad, tmp_path / "out")
+        assert list(tmp_path.rglob("*")) == []
 
 
 def read_series(summary_csv: Path) -> dict[str, list[tuple[float, float, float]]]:

@@ -297,11 +297,15 @@ class TestRandomTargetState:
         with pytest.raises(ValueError):
             random_target_state(triangle_graph(), 0.0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("speed", [math.inf, math.nan, -math.inf, -0.5])
+    @pytest.mark.parametrize("speed", [math.inf, math.nan, -math.inf, -0.5, 0.0, 300.0])
     def test_speed_must_be_finite_and_positive(self, speed):
-        # inf made the first step_target loop forever and nan gave nan offsets
-        with pytest.raises(ValueError, match="target speed must be a finite number > 0"):
+        # inf made the first step_target loop forever and nan gave nan offsets; a nan,
+        # infinite or non-positive speed was worded "> 0", unlike SimConfig's rv
+        with pytest.raises(ValueError) as caught:
             random_target_state(triangle_graph(), speed, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^rv must be a finite number in \(0, 212\.132\], got ") as rv_caught:
+            SimConfig(rv=speed)
+        assert str(caught.value) == "target speed" + str(rv_caught.value)[len("rv"):]
 
     @pytest.mark.parametrize("speed", [1e300, math.nextafter(MAX_SPEED, math.inf)])
     def test_speed_above_the_bound_is_rejected_as_simconfig_rejects_rv(self, speed):
@@ -351,6 +355,21 @@ class TestTargetPoint:
             target_point(g, TargetState(0, 1, 10.5, 0.5))
         with pytest.raises(ValueError, match="outside"):
             target_point(g, TargetState(0, 1, -0.1, 0.5))
+
+    @pytest.mark.parametrize("toward", [0, 2])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            target_point,
+            lambda g, s: predict_target(g, s, 3),
+            lambda g, s: step_target(g, s, np.random.default_rng(0)),  # 31 + 1 passes the edge's end
+        ],
+        ids=["target_point", "predict_target", "crossing-step_target"],
+    )
+    def test_a_negative_edge_index_is_rejected(self, call, toward):
+        # edge -1 read the graph's last edge, (0, 2), whose ends both headings name
+        with pytest.raises(ValueError, match=f"heads toward vertex {toward}, not an endpoint of edge -1"):
+            call(triangle_graph(), TargetState(-1, toward, 31.0, 1.0))
 
 
 class TestStepTarget:
@@ -412,6 +431,11 @@ class TestStepTarget:
         # each of these looped forever: offset -= length no longer changed offset
         with time_limit(10), pytest.raises(ValueError, match=message):
             step_target(triangle_graph(), TargetState(0, 1, offset, speed), np.random.default_rng(0))
+
+    def test_a_crossing_heading_off_its_edge_raises(self):
+        # the crossing took an edge at vertex 2, which edge 0 = (0, 1) does not touch
+        with pytest.raises(ValueError, match="heads toward vertex 2, not an endpoint of edge 0"):
+            step_target(triangle_graph(), TargetState(0, 2, 9.8, 0.5), np.random.default_rng(0))
 
     def test_the_step_bound_itself_is_accepted(self):
         g = triangle_graph()
