@@ -1,20 +1,21 @@
 """Benchmark harness: parameter sweeps, summaries, CSV output and charts.
 
-A sweep varies exactly one of the three benchmark parameters (sensor range
-``sr``, target speed ``rv``, update rate ``ur``) over its standard value set
-while holding the other two at their medians, repeating each cell over a
-block of consecutive seeds. Seeds are shared across controllers so that
-per-seed comparisons between controllers are paired.
+A sweep varies exactly one benchmark parameter (sensor range ``sr``,
+target speed ``rv`` or update rate ``ur``) over its standard values,
+holding the other two at their medians, and repeats each cell over
+consecutive seeds, shared across controllers so that per-seed comparisons
+are paired. Its result stores only the runs; cell summaries derive from them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
-import statistics
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from statistics import mean, stdev
 
 from . import _rules
 from .controllers import ControllerKind
@@ -98,8 +99,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Aggregate of one (controller, value) cell: sample mean and sample
-    standard deviation of the coverage index over runs."""
+    """One (controller, value) cell: sample mean and sample sd of the coverage index over its runs."""
 
     controller: ControllerKind
     value: float
@@ -110,66 +110,62 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's runs in run order, from which each cell's summary is derived.
+    ValueError without records, or for a varied other than sr, rv or ur."""
+
     varied: str
     records: tuple[RunRecord, ...]
-    summaries: tuple[CellSummary, ...]
 
+    def __post_init__(self):
+        if not self.records:
+            raise ValueError("sweep produced no records; nothing to write")
+        if self.varied not in _VALUE_SETS:  # it names the output files
+            raise ValueError(f"varied must be one of sr, rv, ur; got {self.varied!r}")
 
-def _cell_configs(spec: SweepSpec, controller: ControllerKind, value: float) -> list[SimConfig]:
-    overrides = {spec.varied: value, "controller": controller}
-    return [
-        replace(spec.base, seed=spec.base_seed + i, **overrides)
-        for i in range(spec.runs_per_cell)
-    ]
+    @functools.cached_property
+    def summaries(self) -> tuple[CellSummary, ...]:
+        """One summary per (controller, value) cell, in the order of its first run."""
+        cells: dict[tuple[ControllerKind, float], list[float]] = {}
+        for run in (rec.result for rec in self.records):
+            cells.setdefault((run.config.controller, getattr(run.config, self.varied)), []).append(run.rho)
+        return tuple(CellSummary(*cell, mean(rhos), stdev(rhos) if len(rhos) > 1 else 0.0, len(rhos))
+                     for cell, rhos in cells.items())
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Execute every cell of a sweep and summarize it.
+    """Execute every run of a sweep, controller-major, then value, then seed.
 
     With jobs > 1 runs are distributed over worker processes, never more
-    than there are runs; results are merged back in seed order, so the
-    output is identical either way. The process pool, and the
-    multiprocessing package under it, is imported only when more than one
-    worker runs. Raises ValueError unless jobs is an integer from 1 to
-    MAX_JOBS.
+    than there are runs, and merged back in run order, so the output is
+    identical either way. The process pool, and the multiprocessing package
+    under it, is imported only when more than one worker runs. Raises
+    ValueError unless jobs is an integer from 1 to MAX_JOBS.
     """
     _rules.integer("jobs", jobs, 1, MAX_JOBS)
-    cells = [
-        (ctrl, value, _cell_configs(spec, ctrl, value))
+    configs = [
+        replace(spec.base, controller=ctrl, seed=spec.base_seed + i, **{spec.varied: value})
         for ctrl in spec.controllers
         for value in spec.values
+        for i in range(spec.runs_per_cell)
     ]
-    configs = [cfg for _, _, cell in cells for cfg in cell]
     workers = min(jobs, len(configs))
-
     if workers > 1:  # the pool loads multiprocessing (about 1.5 MB); serial work never does
         from concurrent.futures import ProcessPoolExecutor
-    records, summaries = [], []
+    records = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         outcomes = (pool.map if pool else map)(run_simulation, configs)
-        for ctrl, value, cell in cells:
-            rhos = []
-            for cfg in cell:
-                try:
-                    result = next(outcomes)
-                except Exception as exc:
-                    raise HarnessError(
-                        f"run failed: controller={cfg.controller.value} "
-                        f"{spec.varied}={getattr(cfg, spec.varied)} seed={cfg.seed}: {exc}"
-                    ) from exc
-                records.append(RunRecord(result))
-                rhos.append(result.rho)
-            sd = statistics.stdev(rhos) if len(rhos) > 1 else 0.0
-            summaries.append(
-                CellSummary(controller=ctrl, value=value, m=statistics.mean(rhos), sd=sd, runs=len(rhos))
-            )
-    return SweepResult(varied=spec.varied, records=tuple(records), summaries=tuple(summaries))
+        for cfg in configs:
+            try:
+                records.append(RunRecord(next(outcomes)))
+            except Exception as exc:
+                raise HarnessError(f"run failed: controller={cfg.controller.value} "
+                                   f"{spec.varied}={getattr(cfg, spec.varied)} seed={cfg.seed}: {exc}") from exc
+    return SweepResult(spec.varied, tuple(records))
 
 
 def _fmt_value(v: float) -> str:
     """The shortest text that reads back as the same float, without a trailing ".0"."""
-    text = repr(float(v))
-    return text[:-2] if text.endswith(".0") else text
+    return repr(float(v)).removesuffix(".0")
 
 
 def _write_table(path: Path, header: list[str], rows) -> None:
@@ -185,13 +181,8 @@ def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
 
     Files are UTF-8 with LF line endings; the settings are written as the
     shortest text that reads back as the same float, and floating-point
-    statistics carry six digits after the decimal point. A result without
-    records, or whose varied is not sr, rv or ur, raises ValueError first.
+    statistics carry six digits after the decimal point.
     """
-    if not result.records:
-        raise ValueError("sweep produced no records; nothing to write")
-    if result.varied not in _VALUE_SETS:  # it names the output files
-        raise ValueError(f"varied must be one of sr, rv, ur; got {result.varied!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs_path = out / f"{result.varied}_runs.csv"
@@ -247,8 +238,7 @@ def plot_summary(summary_csv: Path | str) -> list[Path]:
                     row[name] = float(row[name])
                 except (TypeError, ValueError):
                     raise ValueError(f"{where}: column {name!r} is {row[name]!r}, not a number") from None
-            series = by_param.setdefault(param, {}).setdefault(row["controller"], [])
-            series.append((row["value"], row["m"], row["sd"]))
+            by_param.setdefault(param, {}).setdefault(row["controller"], []).append((row["value"], row["m"], row["sd"]))
     if not by_param:
         raise ValueError(f"{summary} is not a sweep summary: it has no rows")
 

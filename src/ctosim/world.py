@@ -196,12 +196,15 @@ def random_target_state(graph: PlanarGraph, speed: float, rng: np.random.Generat
 
 
 def target_point(graph: PlanarGraph, state: TargetState) -> tuple[float, float]:
-    """Planar position of a target state on its edge, as a plain (x, y) pair. ValueError for
-    a negative edge index, a heading off the edge's ends, or an offset outside [0, length]."""
+    """Planar position of a target state on its edge, as a plain (x, y) pair. ValueError for an
+    edge index not in the graph, a heading off the edge's ends, or an offset outside [0, length]."""
     edge, toward, offset, _ = state
-    u, v, length, ux, uy, vx, vy, ex, ey = graph.edges[edge]
-    if edge < 0 or toward != v and toward != u:
-        raise ValueError(f"state heads toward vertex {toward}, not an endpoint of edge {edge}")
+    try:  # free unless raised; a negative index would read the table from its end
+        u, v, length, ux, uy, vx, vy, ex, ey = graph.edges[edge]
+        if edge < 0 or toward != v and toward != u:
+            raise IndexError
+    except IndexError:
+        raise ValueError(f"state heads toward vertex {toward}, not an endpoint of edge {edge}") from None
     if not 0.0 <= offset <= length:
         raise ValueError(f"offset {offset} outside [0, {length}] on edge {edge}")
     f = offset / length
@@ -223,11 +226,14 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
     crossing loop ends: ValueError unless the speed is in (0, MAX_SPEED]
     and target_point accepts the state, and ValueError once the step has
     crossed MAX_CROSSINGS vertices without coming to rest. A step within
-    the edge checks nothing.
+    the edge checks only that its edge index is not past the table's end.
     """
     edge, toward, start, speed = state
     offset = start + speed
-    length = graph.edges[edge][2]
+    try:
+        length = graph.edges[edge][2]
+    except IndexError:
+        target_point(graph, state)  # raises the edge rule's ValueError
     if offset >= length:
         _rules.positive("target speed", speed, MAX_SPEED)
         target_point(graph, state)
@@ -282,7 +288,10 @@ def predict_target(graph: PlanarGraph, state: TargetState, horizon: int) -> tupl
     """
     _rules.horizon(horizon)
     edge, toward, offset, speed = state
-    length = graph.edges[edge][2]
+    try:
+        length = graph.edges[edge][2]
+    except IndexError:
+        target_point(graph, state)  # raises the edge rule's ValueError
     if not 0.0 <= offset <= length:
         raise ValueError(f"offset {offset} outside [0, {length}] on edge {edge}")
     offset += speed * horizon

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -199,6 +200,17 @@ class TestRunSweep:
             assert cell.runs == 3
             assert cell.m == statistics.mean(rhos)
             assert cell.sd == statistics.stdev(rhos)
+
+    def test_summaries_are_derived_from_the_records_held(self, two_controller_result):
+        # the last cell, (hc, 25), one run short: its summary covers the two runs left
+        full = two_controller_result
+        *kept, last = harness.SweepResult("sr", full.records[:-1]).summaries
+        assert kept == list(full.summaries[:-1])
+        a, b = (rec.result.rho for rec in full.records[-3:-1])
+        assert a != b
+        assert (last.controller, last.value, last.runs) == (ControllerKind.HC, 25.0, 2)
+        assert last.m == pytest.approx((a + b) / 2, rel=1e-15)
+        assert last.sd == pytest.approx(abs(a - b) / math.sqrt(2), rel=1e-12)
 
     def test_seeds_are_paired_across_controllers(self, two_controller_result):
         result = two_controller_result
@@ -404,17 +416,18 @@ class TestEmitCsv:
         assert all(re.fullmatch(rb"\d+\.\d{6}", line.rsplit(b",", 1)[1]) for line in lines[1:])
 
     def test_empty_result_rejected(self, tmp_path):
-        empty = harness.SweepResult(varied="sr", records=(), summaries=())
+        # the result itself refuses to exist, so emit_csv never sees one
         with pytest.raises(ValueError, match="no records"):
-            emit_csv(empty, tmp_path)
+            harness.SweepResult(varied="sr", records=())
+        assert list(tmp_path.rglob("*")) == []
 
     @pytest.mark.parametrize("varied", ["../escaped", "rho", ""])
     def test_unknown_varied_rejected_before_anything_is_written(self, emitted, tmp_path, varied):
-        # "../escaped" wrote a header-only escaped_runs.csv beside out_dir, then raised AttributeError
+        # "../escaped" wrote a header-only escaped_runs.csv beside out_dir, then raised AttributeError;
+        # the result itself now refuses such a varied, so emit_csv never sees one
         result, _, _ = emitted
-        bad = harness.SweepResult(varied=varied, records=result.records, summaries=result.summaries)
         with pytest.raises(ValueError, match=re.escape(f"varied must be one of sr, rv, ur; got {varied!r}")):
-            emit_csv(bad, tmp_path / "out")
+            harness.SweepResult(varied=varied, records=result.records)
         assert list(tmp_path.rglob("*")) == []
 
 

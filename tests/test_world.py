@@ -367,9 +367,12 @@ class TestTargetPoint:
         ids=["target_point", "predict_target", "crossing-step_target"],
     )
     def test_a_negative_edge_index_is_rejected(self, call, toward):
-        # edge -1 read the graph's last edge, (0, 2), whose ends both headings name
-        with pytest.raises(ValueError, match=f"heads toward vertex {toward}, not an endpoint of edge -1"):
-            call(triangle_graph(), TargetState(-1, toward, 31.0, 1.0))
+        # edge -1 read the graph's last edge, (0, 2), whose ends both headings name;
+        # an index at or past the table's end raised IndexError, crossing or not
+        g = triangle_graph()
+        for edge in (-1, len(g.edges), len(g.edges) + 5):
+            with pytest.raises(ValueError, match=f"heads toward vertex {toward}, not an endpoint of edge {edge}$"):
+                call(g, TargetState(edge, toward, 31.0, 1.0))
 
 
 class TestStepTarget:
