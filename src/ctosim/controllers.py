@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from math import isfinite, sqrt
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ N_CANDIDATES = 100
 #: Largest shift per coordinate of a hill-climb candidate's destinations.
 PERTURB_MAG = 10.0
 KMEANS_MAX_ITERS = 50
-KMEANS_TOL = 1e-6
 
 
 class ControllerKind(Enum):
@@ -183,29 +182,25 @@ def kmeans_control(inp: ControlInput) -> list[Point]:
     There is one cluster per observer: centroids start at the observers' own
     positions and each observer is sent to its own centroid, so assignments
     persist across invocations. Clusters left empty keep their previous
-    centroid. Iteration stops when no centroid moves more than KMEANS_TOL,
-    when the assignment repeats, or after KMEANS_MAX_ITERS rounds.
+    centroid. Iteration stops when a round's assignment repeats the previous
+    round's, which is Lloyd's fixed point, or after KMEANS_MAX_ITERS rounds.
     """
     if len(inp.target_eval_points) == 0:
         raise ValueError("k-means needs at least one target position")
     pts = points_array(inp.target_eval_points)
-    centroids = points_array(inp.observer_points)
+    centroids = points_array(inp.observer_points)  # a new array, updated in place
     last = None
     for _ in range(KMEANS_MAX_ITERS):
         assign = np.argmin(squared_distances(pts, centroids), axis=1)
         key = assign.tobytes()
-        # a repeat would give the same sums in the same order: the same centroids
+        # a repeat would give the same sums in the same order: the same
+        # centroids, bit for bit, in this round and every later one
         if key == last:
             break
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, pts)
         sizes = np.bincount(assign, minlength=len(centroids))
-        moved = centroids.copy()
         nonempty = sizes > 0
-        moved[nonempty] = sums[nonempty] / sizes[nonempty, None]
-        # sqrt is correctly rounded and monotone, so this is the largest root
-        shift = sqrt(float(((moved - centroids) ** 2).sum(axis=1).max()))
-        centroids, last = moved, key
-        if shift < KMEANS_TOL:
-            break
+        centroids[nonempty] = sums[nonempty] / sizes[nonempty, None]
+        last = key
     return _rows_to_points(centroids)

@@ -226,7 +226,9 @@ def step_target(graph: PlanarGraph, state: TargetState, rng: np.random.Generator
     crossing loop ends: ValueError unless the speed is in (0, MAX_SPEED]
     and target_point accepts the state, and ValueError once the step has
     crossed MAX_CROSSINGS vertices without coming to rest. A step within
-    the edge checks only that its edge index is not past the table's end.
+    the edge checks only that its edge index is not past the table's end:
+    run_simulation reads every stepped state through target_point in the
+    same step, and that read rejects the rest (edge -1, say).
     """
     edge, toward, start, speed = state
     offset = start + speed

@@ -309,12 +309,13 @@ def step_observer_scalar(position: XY, destination: XY) -> tuple[XY, XY]:
 # -- k-means ------------------------------------------------------------------
 
 
-def kmeans_lloyd_reference(targets: np.ndarray, observers: np.ndarray, max_iters: int, tol: float):
+def kmeans_lloyd_reference(targets: np.ndarray, observers: np.ndarray, max_iters: int):
     """Lloyd's rounds from the observers' positions, one cluster per observer,
-    stopping only on a largest centroid shift below ``tol`` or after
+    stopping only when a round leaves every centroid unchanged or after
     ``max_iters`` rounds. An empty cluster keeps its centroid. The arithmetic
-    is the controller's, op for op, so the two must agree bit for bit.
-    Returns the centroids and the number of rounds run."""
+    is the controller's, op for op, and unchanged centroids give the same
+    assignment again, so the two must agree bit for bit. Returns the
+    centroids and the number of rounds run."""
     centroids = np.array(observers, dtype=float)
     pts = np.array(targets, dtype=float)
     rounds = 0
@@ -329,9 +330,9 @@ def kmeans_lloyd_reference(targets: np.ndarray, observers: np.ndarray, max_iters
         moved = centroids.copy()
         nonempty = sizes > 0
         moved[nonempty] = sums[nonempty] / sizes[nonempty, None]
-        shift = float(np.sqrt(((moved - centroids) ** 2).sum(axis=1)).max())
+        unchanged = np.array_equal(moved, centroids)
         centroids = moved
-        if shift < tol:
+        if unchanged:
             break
     return centroids, rounds
 

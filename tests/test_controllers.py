@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from ctosim import controllers
 from ctosim.controllers import (
     KMEANS_MAX_ITERS,
-    KMEANS_TOL,
     PERTURB_MAG,
     ControlInput,
     ControllerKind,
@@ -599,15 +598,15 @@ class TestKmeans:
         return float(d2.min(axis=1).sum())
 
     def test_result_is_a_fixed_point(self):
-        # feeding the output back in as the start must change nothing: the
-        # returned centroids are a converged configuration
+        # feeding the output back in as the start must change nothing, bit
+        # for bit: the returned centroids are Lloyd's fixed point
         rng = np.random.default_rng(11)
         for _ in range(30):
             obs = rng.uniform(0.0, 150.0, size=(4, 2)).tolist()
             tgt = rng.uniform(0.0, 150.0, size=(20, 2)).tolist()
             out = kmeans_control(_mk_input(obs, tgt, 15.0, 0))
             again = kmeans_control(_mk_input(_as_rows(out), tgt, 15.0, 0))
-            assert np.allclose(_as_rows(out), _as_rows(again), atol=1e-6)
+            assert again == out
 
     def test_never_worse_than_the_start(self):
         rng = np.random.default_rng(13)
@@ -620,7 +619,7 @@ class TestKmeans:
     def test_matches_reference_lloyd_from_same_start(self):
         # independent reimplementation: same init, same empty-cluster rule,
         # same stop rule, different numpy idioms
-        def reference(pts, init, tol=1e-6, max_iters=50):
+        def reference(pts, init, max_iters=50):
             cents = init.copy()
             for _ in range(max_iters):
                 d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
@@ -630,10 +629,9 @@ class TestKmeans:
                     mask = assign == c
                     if mask.any():
                         new[c] = pts[mask].mean(axis=0)
-                shift = float(np.sqrt(((new - cents) ** 2).sum(axis=1)).max())
-                cents = new
-                if shift < tol:
+                if (new == cents).all():
                     break
+                cents = new
             return cents
 
         rng = np.random.default_rng(17)
@@ -649,7 +647,7 @@ def _kmeans_hex(targets, observers):
     """The controller's and the reference loop's centroids as hex strings,
     and the reference's round count."""
     out = kmeans_control(_mk_input(observers.tolist(), targets.tolist(), 15.0, 0))
-    want, rounds = kmeans_lloyd_reference(targets, observers, KMEANS_MAX_ITERS, KMEANS_TOL)
+    want, rounds = kmeans_lloyd_reference(targets, observers, KMEANS_MAX_ITERS)
     got = [(p.x.hex(), p.y.hex()) for p in out]
     return got, [(float(x).hex(), float(y).hex()) for x, y in want], rounds
 

@@ -363,8 +363,10 @@ class TestTargetPoint:
             target_point,
             lambda g, s: predict_target(g, s, 3),
             lambda g, s: step_target(g, s, np.random.default_rng(0)),  # 31 + 1 passes the edge's end
+            # 1 + 1 stays on the edge: the step may walk on, and the engine's read of the stepped state rejects it
+            lambda g, s: target_point(g, step_target(g, s._replace(offset=1.0), np.random.default_rng(0))),
         ],
-        ids=["target_point", "predict_target", "crossing-step_target"],
+        ids=["target_point", "predict_target", "crossing-step_target", "within-edge-step_target-then-target_point"],
     )
     def test_a_negative_edge_index_is_rejected(self, call, toward):
         # edge -1 read the graph's last edge, (0, 2), whose ends both headings name;
