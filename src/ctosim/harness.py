@@ -4,7 +4,8 @@ A sweep varies exactly one benchmark parameter (sensor range ``sr``,
 target speed ``rv`` or update rate ``ur``) over its standard values,
 holding the other two at their medians, and repeats each cell over
 consecutive seeds, shared across controllers so that per-seed comparisons
-are paired. Its result stores only the runs; cell summaries derive from them.
+are paired. A run is a pure function of its SimConfig, so run_configs makes
+each distinct config once. A result stores only runs; summaries derive from them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import numbers
+from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,7 +34,7 @@ _VALUE_SETS = {"sr": SR_VALUES, "rv": RV_VALUES, "ur": UR_VALUES}
 # jobs value would start that many processes at once.
 MAX_JOBS = 64
 
-# Runs per sweep cell. run_sweep builds every run's SimConfig (about 230
+# Runs per sweep cell. A sweep builds every run's SimConfig (about 230
 # bytes) before the first run starts, so an unchecked count would fill
 # memory before doing any work; at this cap a full sweep holds 200 000.
 MAX_RUNS_PER_CELL = 10_000
@@ -89,6 +91,12 @@ class SweepSpec:
         _rules.integer("runs_per_cell", self.runs_per_cell, 1, MAX_RUNS_PER_CELL)
         _rules.integer("base_seed", self.base_seed, 0)
 
+    @functools.cached_property
+    def configs(self) -> tuple[SimConfig, ...]:
+        """Every run's config in run order: controller-major, then value, then seed."""
+        return tuple(replace(self.base, controller=ctrl, seed=self.base_seed + i, **{self.varied: value})
+                     for ctrl in self.controllers for value in self.values for i in range(self.runs_per_cell))
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -132,35 +140,34 @@ class SweepResult:
                      for cell, rhos in cells.items())
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Execute every run of a sweep, controller-major, then value, then seed.
+def run_configs(configs: Iterable[SimConfig], jobs: int = 1) -> dict[SimConfig, RunResult]:
+    """Run each distinct config once, in first-seen order, and map it to its result.
 
-    With jobs > 1 runs are distributed over worker processes, never more
-    than there are runs, and merged back in run order, so the output is
-    identical either way. The process pool, and the multiprocessing package
-    under it, is imported only when more than one worker runs. Raises
-    ValueError unless jobs is an integer from 1 to MAX_JOBS.
+    With jobs > 1 the runs go to worker processes, never more than there are
+    distinct configs, with identical results; the process pool is imported
+    only then. Raises ValueError, before any run, unless jobs is an integer
+    from 1 to MAX_JOBS, and HarnessError naming the first failing config.
     """
     _rules.integer("jobs", jobs, 1, MAX_JOBS)
-    configs = [
-        replace(spec.base, controller=ctrl, seed=spec.base_seed + i, **{spec.varied: value})
-        for ctrl in spec.controllers
-        for value in spec.values
-        for i in range(spec.runs_per_cell)
-    ]
-    workers = min(jobs, len(configs))
+    distinct = list(dict.fromkeys(configs))
+    workers = min(jobs, len(distinct))
     if workers > 1:  # the pool loads multiprocessing (about 1.5 MB); serial work never does
         from concurrent.futures import ProcessPoolExecutor
-    records = []
+    runs = {}
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        outcomes = (pool.map if pool else map)(run_simulation, configs)
-        for cfg in configs:
+        outcomes = (pool.map if pool else map)(run_simulation, distinct)
+        for cfg in distinct:
             try:
-                records.append(RunRecord(next(outcomes)))
+                runs[cfg] = next(outcomes)
             except Exception as exc:
-                raise HarnessError(f"run failed: controller={cfg.controller.value} "
-                                   f"{spec.varied}={getattr(cfg, spec.varied)} seed={cfg.seed}: {exc}") from exc
-    return SweepResult(spec.varied, tuple(records))
+                raise HarnessError(f"run failed: {cfg!r}: {exc}") from exc
+    return runs
+
+
+def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+    """Run a sweep's configs with run_configs and record them in ``spec.configs`` order."""
+    runs = run_configs(spec.configs, jobs)
+    return SweepResult(spec.varied, tuple(RunRecord(runs[cfg]) for cfg in spec.configs))
 
 
 def _fmt_value(v: float) -> str:

@@ -88,7 +88,7 @@ def delaunay_violations(points: Sequence[XY], triangles) -> list[tuple[int, int]
     return bad
 
 
-def delaunay_triangulate_brute_force(points, block: int = 4096) -> list[tuple[int, int, int]]:
+def delaunay_triangulate_brute_force(points) -> list[tuple[int, int, int]]:
     """Delaunay triangulation by testing every triple of points, O(n⁴).
 
     The lifting map (x, y) -> (x, y, x² + y²) turns "no point strictly
@@ -96,9 +96,7 @@ def delaunay_triangulate_brute_force(points, block: int = 4096) -> list[tuple[in
     the plane through the lifted a, b, c", so every triple passing that test
     is a Delaunay triangle. The checks, the tolerances, the error messages
     and the order of the result are the package's, so the two can be
-    compared outcome for outcome; this one raises plain ValueError. The
-    triples are tested ``block`` at a time, in index order, which bounds the
-    working arrays and changes no outcome.
+    compared outcome for outcome; this one raises plain ValueError.
     """
     n = len(points)
     if n < 3:
@@ -120,26 +118,22 @@ def delaunay_triangulate_brute_force(points, block: int = 4096) -> list[tuple[in
         raise ValueError(bad_points)
     flat = 2**6 * u * m[0] * m[1]
     below = np.tri(n, k=-1, dtype=bool)
-    every_i, every_j, every_k = np.nonzero(below[:, :, None] & below[None])  # every i > j > k
-    triangles = []
-    for start in range(0, len(every_i), block):
-        i, j, k = (every[start : start + block] for every in (every_i, every_j, every_k))
-        a = lifted[i]
-        normal = np.cross(lifted[j] - a, lifted[k] - a)
-        normal[normal[:, 2] < 0.0] *= -1.0  # z points up
-        offset = np.einsum("ij,ij->i", normal, a)
-        empty = normal[:, 2] > flat  # flat triples are no triangles
-        touching = np.zeros(len(i), dtype=np.int64)
-        for q in lifted:
-            side = normal @ q - offset
-            empty &= side >= -tol
-            touching += side <= tol
-        # A kept triple's own corners lie within tol of its plane; a fourth
-        # point there could lie on either side, and so could the diagonal it
-        # implies.
-        if np.any(touching[empty] > 3):
-            raise ValueError("four points lie on one circle within rounding error")
-        triangles.extend(zip(k[empty].tolist(), j[empty].tolist(), i[empty].tolist()))
+    i, j, k = np.nonzero(below[:, :, None] & below[None])  # every i > j > k
+    a = lifted[i]
+    normal = np.cross(lifted[j] - a, lifted[k] - a)
+    normal[normal[:, 2] < 0.0] *= -1.0  # z points up
+    offset = np.einsum("ij,ij->i", normal, a)
+    empty = normal[:, 2] > flat  # flat triples are no triangles
+    touching = np.zeros(len(i), dtype=np.int64)
+    for q in lifted:
+        side = normal @ q - offset
+        empty &= side >= -tol
+        touching += side <= tol
+    # A kept triple's own corners lie within tol of its plane; a fourth point
+    # there could lie on either side, and so could the diagonal it implies.
+    if np.any(touching[empty] > 3):
+        raise ValueError("four points lie on one circle within rounding error")
+    triangles = list(zip(k[empty].tolist(), j[empty].tolist(), i[empty].tolist()))
     edges = {e for t in triangles for e in itertools.combinations(t, 2)}  # t is ascending
     # A triangulated disc has V - E + T = 1; a hole left by a flat triple
     # that was a Delaunay triangle breaks it.

@@ -2,9 +2,10 @@
 
 Criteria 1-6 are property checks that run in seconds. Criteria 7-10 share a
 benchmark grid (three sweeps x four controllers x five values x twenty seeds,
-full-size worlds; 1040 distinct runs, since the sweeps share their median
-cell) that takes minutes; it is built once per session, on up to four
-worker processes. Criterion 9 is a soft value check: a miss is
+full-size worlds) that takes minutes. It is built once per session by one
+run_configs call on up to four worker processes, which runs each distinct
+config once: 1040 runs for 1200 records, since the sweeps share their median
+cell. Criterion 9 is a soft value check: a miss is
 reported with the per-seed breakdown but never fails the build.
 """
 
@@ -26,7 +27,7 @@ from ctosim.controllers import (
 )
 from ctosim.engine import SimConfig, run_simulation
 from ctosim.geometry import Point, delaunay_triangulate, triangulation_edges
-from ctosim.harness import ALL_CONTROLLERS, RV_VALUES, UR_VALUES, SweepResult, SweepSpec, emit_csv, run_sweep
+from ctosim.harness import RunRecord, SweepResult, SweepSpec, emit_csv, run_configs, run_sweep
 from ctosim.metrics import mean_pairwise_observer_distance, observation_matrix
 from ctosim.world import (
     TargetState,
@@ -45,28 +46,17 @@ from oracles import delaunay_violations, observed_count_loops, segments_cross
 
 @pytest.fixture(scope="session")
 def grid():
-    """Mean/sd summaries and per-run records for all three standard sweeps.
+    """Per-run records, with the summaries derived from them, for all three standard sweeps.
 
-    Each sweep holds the other two parameters at their medians, so the sr = 15,
-    rv = 0.5 and ur = 0.25 cells are one run per controller and seed,
-    ``SimConfig(controller=c, seed=s)``. That median cell runs once, in the sr
-    sweep, and its records are placed in the other two in run order:
-    controller-major, then value in the standard order, then seed.
+    Each sweep holds the other two parameters at their medians, so all three
+    hold the median cell (sr 15, rv 0.5, ur 0.25). One run_configs call runs
+    each distinct config of the three once, 1040 of 1200, and each sweep looks
+    its records up in its own run order, as run_sweep does.
     """
-    jobs = min(4, os.cpu_count() or 1)
-    out = {"sr": run_sweep(SweepSpec(varied="sr"), jobs=jobs)}
-    median = SimConfig()
-    shared = tuple(r for r in out["sr"].records if r.result.config.sr == median.sr)
-    for varied, values in (("rv", RV_VALUES), ("ur", UR_VALUES)):
-        others = tuple(v for v in values if v != getattr(median, varied))
-        runs = run_sweep(SweepSpec(varied=varied, values=others), jobs=jobs).records + shared
-
-        def cell(rec, varied=varied, values=values):
-            cfg = rec.result.config
-            return ALL_CONTROLLERS.index(cfg.controller), values.index(getattr(cfg, varied))
-
-        out[varied] = SweepResult(varied, tuple(sorted(runs, key=cell)))  # stable: seeds stay in order
-    return out
+    specs = [SweepSpec(varied=varied) for varied in ("sr", "rv", "ur")]
+    runs = run_configs([cfg for spec in specs for cfg in spec.configs], jobs=min(4, os.cpu_count() or 1))
+    return {spec.varied: SweepResult(spec.varied, tuple(RunRecord(runs[cfg]) for cfg in spec.configs))
+            for spec in specs}
 
 
 def _cell_mean(sweep, controller: ControllerKind, value: float) -> float:

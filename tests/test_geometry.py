@@ -179,7 +179,7 @@ def _outcome(pts):
         return str(exc)
 
 
-def _block_cases():
+def _fixed_cases():
     rng = np.random.default_rng(20)
     cases = [_random_points(rng, n) for n in [*range(3, 13), 15, 20, 25, 30, 40, 50, 60]]
     grid = [Point(float(x), float(y)) for x in range(5) for y in range(5)]
@@ -188,28 +188,22 @@ def _block_cases():
     return cases + [grid, collinear, repeat]
 
 
-def _oracle_outcome(pts, block=4096):
+def _oracle_outcome(pts):
     try:
-        return delaunay_triangulate_brute_force(pts, block)
+        return delaunay_triangulate_brute_force(pts)
     except ValueError as exc:
         return str(exc)
 
 
-@pytest.mark.parametrize("block", [1, 7, math.comb(60, 3) + 1])
-def test_blocks_of_triples_do_not_change_the_result(block):
+def test_equals_the_brute_force_oracle_on_fixed_cases():
     # Gift wrapping gives the oracle's triangles in the oracle's order, or
-    # its error, and the oracle's block size changes none of them: every
-    # test is per triple and the blocks run in index order. On the 5x5 grid
-    # the cocircular error comes from a later block than the first at sizes
-    # 1 and 7; collinear points fail the final Euler check.
-    cases = _block_cases()
+    # its error: the 5x5 grid's cocircular error, the collinear points'
+    # failed Euler check, and the repeated point's triangles.
+    cases = _fixed_cases()
     expected = [_outcome(pts) for pts in cases]
     assert "four points lie on one circle within rounding error" in expected
     assert "points are collinear or too close to it to triangulate" in expected
-    for pts, want in zip(cases, expected):
-        if math.comb(len(pts), 3) > 5000 * block:
-            continue  # thousands of blocks cost seconds
-        assert _oracle_outcome(pts, block) == want, f"n={len(pts)}"
+    assert [_oracle_outcome(pts) for pts in cases] == expected
 
 
 def _lattice_points(rng):

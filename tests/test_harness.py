@@ -28,6 +28,7 @@ from ctosim.harness import (
     SweepSpec,
     emit_csv,
     plot_summary,
+    run_configs,
     run_sweep,
 )
 
@@ -271,6 +272,7 @@ class TestRunSweep:
             run_sweep(small_spec(), jobs=harness.MAX_JOBS + 1)
 
     def test_workers_never_outnumber_runs(self, monkeypatch):
+        # the runs counted are the distinct configs: a repeat starts no worker
         started = []
 
         class SerialPool:
@@ -288,9 +290,13 @@ class TestRunSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         assert len(run_sweep(small_spec(runs_per_cell=1), jobs=harness.MAX_JOBS).records) == 2
         assert started == [2]
-        # a single run needs no pool at all
+        a, b = small_spec(runs_per_cell=1).configs
+        assert list(run_configs([a, b, a, b, a], jobs=harness.MAX_JOBS)) == [a, b]
+        assert started == [2, 2]
+        # a single distinct run needs no pool at all, however often it is listed
         run_sweep(small_spec(values=(5.0,), runs_per_cell=1), jobs=harness.MAX_JOBS)
-        assert started == [2]
+        run_configs([a, a, a], jobs=harness.MAX_JOBS)
+        assert started == [2, 2]
 
     def test_serial_work_never_loads_the_process_pool(self):
         # A fresh interpreter: this one has loaded the pool for other tests.
@@ -317,9 +323,42 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failures_name_the_cell(self, monkeypatch, jobs):
+        # the whole config of the first run, every setting needed to rerun it
         monkeypatch.setattr(harness, "run_simulation", boom)
-        with pytest.raises(HarnessError, match=r"controller=hc sr=5\.0 seed=0: synthetic failure"):
+        first = ("SimConfig(steps=120, n_observers=4, n_targets=6, n_vertices=12, sr=5.0, rv=0.5, ur=0.25, "
+                 "controller=<ControllerKind.HC: 'hc'>, horizon=10, seed=0)")
+        with pytest.raises(HarnessError, match=f"^run failed: {re.escape(first)}: synthetic failure$"):
             run_sweep(small_spec(), jobs=jobs)
+
+
+class TestRunConfigs:
+    def test_each_distinct_config_runs_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_simulation", lambda cfg: calls.append(cfg) or len(calls))
+        a, b, c = small_spec(runs_per_cell=3, values=(5.0,)).configs
+        assert run_configs([a, b, a, c, b, a]) == {a: 1, b: 2, c: 3}
+        assert calls == [a, b, c]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_keep_first_seen_order(self, jobs):
+        configs = small_spec(runs_per_cell=2).configs
+        listed = [configs[3], configs[0], configs[3], configs[2], configs[0]]
+        runs = run_configs(listed, jobs=jobs)
+        assert list(runs) == [configs[3], configs[0], configs[2]]
+        assert all(run.config == cfg for cfg, run in runs.items())
+
+    def test_parallel_equals_serial(self):
+        configs = small_spec(controllers=(ControllerKind.KMEANS, ControllerKind.HC_HP), runs_per_cell=2).configs
+        serial, parallel = (run_configs(configs, jobs=jobs) for jobs in (1, 2))
+        assert list(parallel) == list(serial) == list(configs)
+        assert [run.rho.hex() for run in parallel.values()] == [run.rho.hex() for run in serial.values()]
+
+    @pytest.mark.parametrize("jobs", [0, True, 2.5, "2", harness.MAX_JOBS + 1])
+    def test_jobs_rules_apply_before_any_pool(self, monkeypatch, jobs):
+        monkeypatch.setattr(harness, "run_simulation", boom)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+        with pytest.raises(ValueError, match="^jobs must be "):
+            run_configs(small_spec().configs, jobs=jobs)
 
 
 class TestEmitCsv:
