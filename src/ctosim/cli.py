@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .controllers import ControllerKind
@@ -66,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(options: dict) -> int:
     if "controller" in options:
         options["controller"] = ControllerKind.parse(options["controller"])
+    start = time.perf_counter()  # the host's time for the run, not part of its result
     result = run_simulation(SimConfig(**options))
-    print(f"rho={result.rho:.6f} seed={result.config.seed} wall_time_s={result.wall_time:.3f}")
+    print(f"rho={result.rho:.6f} seed={result.config.seed} wall_time_s={time.perf_counter() - start:.3f}")
     return 0
 
 

@@ -12,7 +12,6 @@ graph once and shares it between runs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -91,7 +90,6 @@ class RunResult:
 
     rho: float
     config: SimConfig
-    wall_time: float
     observed_counts: tuple[int, ...] | None = None
     target_trace: tuple[tuple[Point, ...], ...] | None = None
 
@@ -149,8 +147,6 @@ def run_simulation(
     record_counts keeps the per-step counts and record_targets the per-step
     target positions, for inspection.
     """
-    start = time.perf_counter()
-
     # Child 0 is the graph's stream, drawn inside generate_random_graph. Each
     # child is its own stream, so a controller that draws more never shifts
     # the targets' draws.
@@ -187,7 +183,6 @@ def run_simulation(
     return RunResult(
         rho=observed_sum / cfg.steps / cfg.n_targets,
         config=cfg,
-        wall_time=time.perf_counter() - start,
         observed_counts=tuple(counts) if record_counts else None,
         target_trace=tuple(trace) if record_targets else None,
     )

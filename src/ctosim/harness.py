@@ -119,7 +119,8 @@ class CellSummary:
 @dataclass(frozen=True)
 class SweepResult:
     """A sweep's runs in run order, from which each cell's summary is derived.
-    ValueError without records, or for a varied other than sr, rv or ur."""
+    ValueError without records, for a record that is not a RunRecord, or
+    for a varied other than sr, rv or ur."""
 
     varied: str
     records: tuple[RunRecord, ...]
@@ -127,6 +128,9 @@ class SweepResult:
     def __post_init__(self):
         if not self.records:
             raise ValueError("sweep produced no records; nothing to write")
+        for i, rec in enumerate(self.records):
+            if not isinstance(rec, RunRecord):
+                raise ValueError(f"records[{i}] must be a RunRecord, got {type(rec).__name__}")
         if self.varied not in _VALUE_SETS:  # it names the output files
             raise ValueError(f"varied must be one of sr, rv, ur; got {self.varied!r}")
 
@@ -196,11 +200,11 @@ def emit_csv(result: SweepResult, out_dir: Path | str) -> tuple[Path, Path]:
     summary_path = out / f"{result.varied}_summary.csv"
     _write_table(
         runs_path,
-        ["controller", "varied_param", "value", "sr", "rv", "ur", "seed", "rho", "wall_time_s"],
+        ["controller", "varied_param", "value", "sr", "rv", "ur", "seed", "rho"],
         (
             [run.config.controller.value, result.varied, _fmt_value(getattr(run.config, result.varied)),
              _fmt_value(run.config.sr), _fmt_value(run.config.rv), _fmt_value(run.config.ur),
-             run.config.seed, f"{run.rho:.6f}", f"{run.wall_time:.6f}"]
+             run.config.seed, f"{run.rho:.6f}"]
             for run in (rec.result for rec in result.records)
         ),
     )

@@ -279,9 +279,7 @@ def test_criterion_05_horizon_zero_reduction(criterion):
 
 def test_criterion_06_determinism(criterion, tmp_path):
     cfg = SimConfig(seed=0)
-    a = run_simulation(cfg, record_counts=True)
-    b = run_simulation(cfg, record_counts=True)
-    counts_equal = a.observed_counts == b.observed_counts
+    results_equal = run_simulation(cfg, record_counts=True) == run_simulation(cfg, record_counts=True)
 
     spec = SweepSpec(
         varied="sr",
@@ -292,22 +290,15 @@ def test_criterion_06_determinism(criterion, tmp_path):
     runs1, summary1 = emit_csv(run_sweep(spec), tmp_path / "rep1")
     runs2, summary2 = emit_csv(run_sweep(spec), tmp_path / "rep2")
     summary_identical = summary1.read_bytes() == summary2.read_bytes()
+    runs_identical = runs1.read_bytes() == runs2.read_bytes()
 
-    # per-run files carry a wall_time_s column by design; it is the one field
-    # that may differ between repetitions, so it is masked before comparing
-    def stable_rows(path):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        return [",".join(line.split(",")[:8]) for line in lines]
-
-    runs_identical = stable_rows(runs1) == stable_rows(runs2)
-
-    ok = counts_equal and summary_identical and runs_identical
-    criterion(6, "identical reruns: per-step counts and sweep CSV bytes",
+    ok = results_equal and summary_identical and runs_identical
+    criterion(6, "identical reruns: whole run results and sweep CSV bytes",
               "PASS" if ok else "FAIL",
-              (f"per-step counts equal: {counts_equal}; "
+              (f"run results equal, per-step counts included: {results_equal}; "
                f"summary bytes equal: {summary_identical}; "
-               f"run rows equal outside wall_time_s: {runs_identical}",))
-    assert counts_equal
+               f"runs bytes equal: {runs_identical}",))
+    assert results_equal
     assert summary_identical
     assert runs_identical
 

@@ -267,7 +267,7 @@ class TestPlot:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("controller,varied_param,value,sr,rv,ur,seed,rho,wall_time_s\nhc,ur,1,20,0.5,1,0,0.5,0.1\n",
+            ("controller,varied_param,value,sr,rv,ur,seed,rho\nhc,ur,1,20,0.5,1,0,0.5\n",
              "missing columns 'm', 'sd'"),
             ("a,b\n1,2\n", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
             ("controller,varied_param,value,m,sd,runs\n", "it has no rows"),

@@ -157,10 +157,9 @@ class TestUpdateSchedule:
 class TestRunSimulation:
     def test_identical_runs_are_identical(self):
         cfg = SimConfig(seed=5, **SMALL)
-        a = run_simulation(cfg, record_counts=True)
-        b = run_simulation(cfg, record_counts=True)
-        assert a.rho == b.rho
-        assert a.observed_counts == b.observed_counts
+        a, b = (run_simulation(cfg, record_counts=True, record_targets=True) for _ in range(2))
+        assert a == b  # whole results: every field is a function of the config
+        assert a.observed_counts is not None and a.target_trace is not None
 
     def test_time_accounting(self):
         cfg = SimConfig(seed=2, **SMALL)
@@ -176,7 +175,6 @@ class TestRunSimulation:
         assert 0.0 <= r.rho <= 1.0
         assert r.config.seed == 2
         assert r.config is cfg
-        assert r.wall_time > 0.0
 
     def test_observers_start_at_rest(self, monkeypatch):
         # one point per observer, its position and destination one object, so

@@ -351,7 +351,7 @@ class TestRunConfigs:
         configs = small_spec(controllers=(ControllerKind.KMEANS, ControllerKind.HC_HP), runs_per_cell=2).configs
         serial, parallel = (run_configs(configs, jobs=jobs) for jobs in (1, 2))
         assert list(parallel) == list(serial) == list(configs)
-        assert [run.rho.hex() for run in parallel.values()] == [run.rho.hex() for run in serial.values()]
+        assert parallel == serial  # whole results: a run is a pure function of its config
 
     @pytest.mark.parametrize("jobs", [0, True, 2.5, "2", harness.MAX_JOBS + 1])
     def test_jobs_rules_apply_before_any_pool(self, monkeypatch, jobs):
@@ -373,7 +373,7 @@ class TestEmitCsv:
         with open(runs_path, encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == [
-            "controller", "varied_param", "value", "sr", "rv", "ur", "seed", "rho", "wall_time_s",
+            "controller", "varied_param", "value", "sr", "rv", "ur", "seed", "rho",
         ]
         assert len(rows) == 1 + len(result.records)
         first = rows[1]
@@ -420,39 +420,30 @@ class TestEmitCsv:
             assert b"\r" not in data
             assert data.endswith(b"\n")
 
-    def test_reemission_is_byte_identical_outside_wall_time(self, emitted, tmp_path):
-        result, runs_path, summary_path = emitted
-        again = run_sweep(small_spec())
-        runs2, summary2 = emit_csv(again, tmp_path)
+    def test_reemission_is_byte_identical(self, emitted, tmp_path):
+        _, runs_path, summary_path = emitted
+        runs2, summary2 = emit_csv(run_sweep(small_spec()), tmp_path)
+        assert runs2.read_bytes() == runs_path.read_bytes()
         assert summary2.read_bytes() == summary_path.read_bytes()
-        strip = lambda p: [
-            row[:8] for row in csv.reader(p.read_text(encoding="utf-8").splitlines())
-        ]  # drop wall_time_s, the one timing-dependent column
-        assert strip(runs2) == strip(runs_path)
 
     def test_format_is_pinned(self, emitted):
         # small_spec()'s exact files: a format change in the shared table
-        # writer fails here, not only in the benchmark's CSV check;
-        # wall_time_s varies, so only its six decimals are checked
+        # writer fails here, not only in the benchmark's CSV check
         _, runs_path, summary_path = emitted
         assert summary_path.read_bytes() == (
             b"controller,varied_param,value,m,sd,runs\n"
             b"hc,sr,5,0.124537,0.145670,3\n"
             b"hc,sr,25,0.798611,0.041131,3\n"
         )
-        *lines, end = runs_path.read_bytes().split(b"\n")
-        assert end == b""
-        assert [line.rsplit(b",", 1)[0] for line in lines] == [
-            b"controller,varied_param,value,sr,rv,ur,seed,rho",
-            b"hc,sr,5,5,0.5,0.25,0,0.088889",
-            b"hc,sr,5,5,0.5,0.25,1,0.284722",
-            b"hc,sr,5,5,0.5,0.25,2,0.000000",
-            b"hc,sr,25,25,0.5,0.25,0,0.837500",
-            b"hc,sr,25,25,0.5,0.25,1,0.755556",
-            b"hc,sr,25,25,0.5,0.25,2,0.802778",
-        ]
-        assert lines[0].endswith(b",wall_time_s")
-        assert all(re.fullmatch(rb"\d+\.\d{6}", line.rsplit(b",", 1)[1]) for line in lines[1:])
+        assert runs_path.read_bytes() == (
+            b"controller,varied_param,value,sr,rv,ur,seed,rho\n"
+            b"hc,sr,5,5,0.5,0.25,0,0.088889\n"
+            b"hc,sr,5,5,0.5,0.25,1,0.284722\n"
+            b"hc,sr,5,5,0.5,0.25,2,0.000000\n"
+            b"hc,sr,25,25,0.5,0.25,0,0.837500\n"
+            b"hc,sr,25,25,0.5,0.25,1,0.755556\n"
+            b"hc,sr,25,25,0.5,0.25,2,0.802778\n"
+        )
 
     def test_empty_result_rejected(self, tmp_path):
         # the result itself refuses to exist, so emit_csv never sees one
@@ -467,6 +458,15 @@ class TestEmitCsv:
         result, _, _ = emitted
         with pytest.raises(ValueError, match=re.escape(f"varied must be one of sr, rv, ur; got {varied!r}")):
             harness.SweepResult(varied=varied, records=result.records)
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_record_that_is_not_a_run_record_rejected_before_anything_is_written(self, emitted, tmp_path):
+        # a bare RunResult wrote a header-only sr_runs.csv, then raised AttributeError;
+        # the result itself now refuses it, so emit_csv never sees one
+        result, _, _ = emitted
+        records = (*result.records[:2], result.records[2].result)
+        with pytest.raises(ValueError, match=re.escape("records[2] must be a RunRecord, got RunResult")):
+            harness.SweepResult(varied="sr", records=records)
         assert list(tmp_path.rglob("*")) == []
 
 
