@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import numbers
 from collections.abc import Iterable
 from contextlib import nullcontext
@@ -229,8 +230,9 @@ def plot_summary(summary_csv: Path | str) -> list[Path]:
     matplotlib is imported here only, so the rest of the harness runs
     without it. Raises FileNotFoundError for a missing CSV, ValueError for
     one without a summary's columns or rows, or with a row whose
-    varied_param is not sr, rv or ur or whose value, m or sd is not a
-    number, all before the import, and ImportError without matplotlib.
+    varied_param is not sr, rv or ur, whose value or m is not a finite
+    number or whose sd is not a finite number >= 0, all before the
+    import, and ImportError without matplotlib.
     """
     summary = Path(summary_csv)
     by_param: dict[str, dict[str, list[tuple[float, float, float]]]] = {}
@@ -244,11 +246,14 @@ def plot_summary(summary_csv: Path | str) -> list[Path]:
             where, param = f"{summary} is not a sweep summary: line {reader.line_num}", row["varied_param"]
             if param not in _VALUE_SETS:  # it names the output file
                 raise ValueError(f"{where}: column 'varied_param' is {param!r}, not one of {list(_VALUE_SETS)}")
-            for name in ("value", "m", "sd"):
+            for name, rule in (("value", "a finite number"), ("m", "a finite number"), ("sd", "a finite number >= 0")):
                 try:  # a short row leaves the column None
-                    row[name] = float(row[name])
+                    number = float(row[name])
                 except (TypeError, ValueError):
-                    raise ValueError(f"{where}: column {name!r} is {row[name]!r}, not a number") from None
+                    number = math.nan
+                if not (math.isfinite(number) and (name != "sd" or number >= 0)):
+                    raise ValueError(f"{where}: column {name!r} is {row[name]!r}, not {rule}")
+                row[name] = number
             by_param.setdefault(param, {}).setdefault(row["controller"], []).append((row["value"], row["m"], row["sd"]))
     if not by_param:
         raise ValueError(f"{summary} is not a sweep summary: it has no rows")

@@ -44,12 +44,6 @@ def observed_count_loops(
     return count
 
 
-def coverage_fraction_loops(
-    observer_points: Sequence[XY], target_points: Sequence[XY], sr: float
-) -> float:
-    return observed_count_loops(observer_points, target_points, sr) / len(target_points)
-
-
 def circumcircle_center(a: XY, b: XY, c: XY) -> tuple[float, float, float]:
     """Circumcenter (cx, cy) and squared radius via perpendicular-bisector solve.
 

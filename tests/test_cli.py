@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import importlib.metadata
 import re
 import subprocess
@@ -160,6 +161,12 @@ def test_simulate_exits_cleanly_on_any_numeric_arguments(data, capsys):
         assert err.count("\n") == 1
 
 
+SWEEP_CSV_SHA256 = {
+    "sr_summary.csv": "59aa8a0c8708b6d39fe39d68c9451371692acb42aec369e2af6eba7ddf7f29dc",
+    "sr_runs.csv": "3891ca286305a5ecfaccfe5af4d2a11a66b1377ce2823332cb262ce4a32c19ce",
+}
+
+
 class TestSweep:
     def test_wires_arguments_through(self, tmp_path, capsys, monkeypatch):
         captured = {}
@@ -243,6 +250,18 @@ class TestSweep:
         with pytest.raises(SystemExit):
             cli.main(["sweep"])
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_csvs_match_the_pinned_sha256(self, tmp_path, capsys, jobs):
+        # Two runs a cell make sd not 0, so a change that moves a run, a
+        # cell's mean or sd, or the format fails here; on two workers the
+        # process pool's path must write the same bytes.
+        code, out, err = run_main(
+            ["sweep", "--vary", "sr", "--runs", "2", "--jobs", jobs, "--out-dir", str(tmp_path)], capsys
+        )
+        assert (code, err) == (0, "")
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SWEEP_CSV_SHA256}
+        assert got == SWEEP_CSV_SHA256
+
 
 class TestPlot:
     SUMMARY = "controller,varied_param,value,m,sd,runs\nhc,ur,1,0.5,0.01,2\nhc,rv,0.5,0.4,0.02,2\n"
@@ -271,12 +290,13 @@ class TestPlot:
              "missing columns 'm', 'sd'"),
             ("a,b\n1,2\n", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
             ("controller,varied_param,value,m,sd,runs\n", "it has no rows"),
-            (SUMMARY + "hc,sr,5,abc,0.1,2\n", "line 4: column 'm' is 'abc', not a number"),
-            (SUMMARY + "hc,sr,5\n", "line 4: column 'm' is None, not a number"),
+            (SUMMARY + "hc,sr,5,abc,0.1,2\n", "line 4: column 'm' is 'abc', not a finite number"),
+            (SUMMARY + "hc,sr,5,inf,0.1,2\n", "line 4: column 'm' is 'inf', not a finite number"),
+            (SUMMARY + "hc,sr,5\n", "line 4: column 'm' is None, not a finite number"),
             (SUMMARY + "hc,../x,5,0.5,0.1,2\n",
              "line 4: column 'varied_param' is '../x', not one of ['sr', 'rv', 'ur']"),
         ],
-        ids=["runs-csv", "foreign-csv", "header-only", "non-numeric", "short-row", "escape"],
+        ids=["runs-csv", "foreign-csv", "header-only", "non-numeric", "non-finite", "short-row", "escape"],
     )
     @pytest.mark.parametrize("matplotlib", ["fake", "missing"])
     def test_not_a_summary_is_one_error_line(self, tmp_path, capsys, request, monkeypatch, text, message, matplotlib):

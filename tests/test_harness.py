@@ -553,14 +553,17 @@ class TestPlotSummary:
             ("a,b\n1,2\n", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
             ("", "missing columns 'controller', 'varied_param', 'value', 'm', 'sd'"),
             (HEADER, "it has no rows"),
-            (HEADER + ROW + "hc,sr,5,abc,0.1,2\n", "line 3: column 'm' is 'abc', not a number"),
-            (HEADER + ROW + "hc,sr,x5,0.5,0.1,2\n", "line 3: column 'value' is 'x5', not a number"),
-            (HEADER + ROW + "hc,sr,5,0.5,,2\n" + ROW, "line 3: column 'sd' is '', not a number"),
-            (HEADER + ROW + "hc,sr,5\n", "line 3: column 'm' is None, not a number"),
+            (HEADER + ROW + "hc,sr,5,abc,0.1,2\n", "line 3: column 'm' is 'abc', not a finite number"),
+            (HEADER + ROW + "hc,sr,x5,0.5,0.1,2\n", "line 3: column 'value' is 'x5', not a finite number"),
+            (HEADER + ROW + "hc,sr,5,0.5,,2\n" + ROW, "line 3: column 'sd' is '', not a finite number >= 0"),
+            (HEADER + ROW + "hc,sr,5\n", "line 3: column 'm' is None, not a finite number"),
+            (HEADER + ROW + "hc,sr,nan,inf,-1,2\n", "line 3: column 'value' is 'nan', not a finite number"),
+            (HEADER + ROW + "hc,sr,5,0.5,-1,2\n", "line 3: column 'sd' is '-1', not a finite number >= 0"),
             (HEADER + ROW + "hc,../../escape,5,0.5,0.1,2\n", "line 3: column 'varied_param' is '../../escape'"),
             (HEADER + "hc,,5,0.5,0.1,2\n", "line 2: column 'varied_param' is '', not one of ['sr', 'rv', 'ur']"),
         ],
-        ids=["foreign", "empty", "header-only", "bad-m", "bad-value", "bad-sd", "short-row", "escape", "no-param"],
+        ids=["foreign", "empty", "header-only", "bad-m", "bad-value", "bad-sd", "short-row", "non-finite",
+             "negative-sd", "escape", "no-param"],
     )
     def test_other_csv_rejected_before_the_import(self, tmp_path, fake_matplotlib, text, message):
         path = tmp_path / "sr_summary.csv"

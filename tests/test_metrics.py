@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctosim.engine import SimConfig
 from ctosim.geometry import Point
 from ctosim.metrics import (
     mean_pairwise_observer_distance,
@@ -26,10 +25,6 @@ def _pts(rows):
 def _observed(matrix) -> int:
     """Targets seen by at least one observer, as the engine counts them."""
     return int(matrix.any(axis=0).sum())
-
-
-def _coverage(matrix) -> float:
-    return _observed(matrix) / matrix.shape[1]
 
 
 class TestObservationMatrix:
@@ -106,6 +101,7 @@ class TestPointsArray:
     def test_no_points_is_an_empty_matrix(self):
         assert points_array([]).shape == (0, 2)
         assert observation_matrix([], [Point(1.0, 1.0)], 5.0).shape == (0, 1)
+        assert observation_matrix([Point(0.0, 0.0)], [], 5.0).shape == (1, 0)
 
     @pytest.mark.parametrize(
         "rows",
@@ -125,52 +121,6 @@ class TestPointsArray:
             observation_matrix(rows, [Point(1.0, 1.0)], 5.0)
         with pytest.raises(ValueError):
             observation_matrix([Point(1.0, 1.0)], rows, 5.0)
-
-
-class TestCoverageFraction:
-    def test_double_observation_counts_once(self):
-        # two observers both inside range of the one target: fraction is 1, not 2
-        m = observation_matrix(
-            [Point(0.0, 0.0), Point(1.0, 0.0)], [Point(0.5, 0.0)], sr=5.0
-        )
-        assert _coverage(m) == 1.0
-
-    def test_partial_coverage(self):
-        m = observation_matrix(
-            [Point(0.0, 0.0)], [Point(1.0, 0.0), Point(100.0, 0.0)], sr=5.0
-        )
-        assert _coverage(m) == 0.5
-
-    def test_no_targets_rejected(self):
-        # the fraction of no targets is undefined: the matrix is empty, and a
-        # run refuses an empty population before it divides by it
-        m = observation_matrix([Point(0.0, 0.0)], [], sr=5.0)
-        assert m.shape == (1, 0)
-        with pytest.raises(ValueError):
-            SimConfig(n_targets=0)
-
-
-class TestAccumulation:
-    def test_running_totals(self):
-        m1 = observation_matrix([Point(0.0, 0.0)], [Point(1.0, 0.0), Point(99.0, 0.0)], 5.0)
-        m2 = observation_matrix([Point(99.0, 0.0)], [Point(1.0, 0.0), Point(99.0, 0.0)], 5.0)
-        counts = [_observed(m) for m in (m1, m2)]
-        assert len(counts) == 2
-        assert sum(counts) == 2
-
-    def test_equals_mean_of_per_step_fractions(self):
-        # the engine's coverage index, observed_sum / steps / n_targets, is the
-        # time average of the per-step observed fractions
-        rng = np.random.default_rng(1)
-        observed_sum = 0
-        fracs = []
-        for _ in range(50):
-            obs = _pts(rng.uniform(0.0, 150.0, size=(6, 2)))
-            tgt = _pts(rng.uniform(0.0, 150.0, size=(9, 2)))
-            m = observation_matrix(obs, tgt, 20.0)
-            observed_sum += _observed(m)
-            fracs.append(_coverage(m))
-        assert math.isclose(observed_sum / 50 / 9, float(np.mean(fracs)), rel_tol=1e-12)
 
 
 class TestMeanPairwiseDistance:

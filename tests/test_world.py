@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import signal
 from contextlib import contextmanager
@@ -235,6 +236,19 @@ class TestGenerateRandomGraph:
         g = generate_random_graph(40, 3)
         rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
         assert [list(p) for p in g.vertices] == rng.uniform(0.0, 150.0, size=(40, 2)).tolist()
+
+    def test_graphs_match_the_pinned_digest(self):
+        # One SHA-256 over every graph for n = 3-100 vertices and seeds 0-28
+        # (2842 builds): the vertices and the edge table, in order. Recorded
+        # under the brute-force triangulation over all triples, so a
+        # triangulation that adds, drops or moves an edge, or rejects a draw
+        # the brute force accepted, fails here.
+        h = hashlib.sha256()
+        for n in range(3, 101):
+            for seed in range(29):
+                g = generate_random_graph(n, seed)
+                h.update(repr((g.vertices, g.edges)).encode())
+        assert h.hexdigest() == "20bd989fb4333f40471cdaadbd520d788281f53713f68f90066ff1428dfdb874"
 
 
 class TestGraphMemo:
