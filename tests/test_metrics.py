@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctosim.engine import SimConfig
 from ctosim.geometry import Point
 from ctosim.metrics import (
     mean_pairwise_observer_distance,
@@ -101,7 +102,6 @@ class TestPointsArray:
     def test_no_points_is_an_empty_matrix(self):
         assert points_array([]).shape == (0, 2)
         assert observation_matrix([], [Point(1.0, 1.0)], 5.0).shape == (0, 1)
-        assert observation_matrix([Point(0.0, 0.0)], [], 5.0).shape == (1, 0)
 
     @pytest.mark.parametrize(
         "rows",
@@ -121,6 +121,16 @@ class TestPointsArray:
             observation_matrix(rows, [Point(1.0, 1.0)], 5.0)
         with pytest.raises(ValueError):
             observation_matrix([Point(1.0, 1.0)], rows, 5.0)
+
+
+class TestCoverageFraction:
+    def test_no_targets_rejected(self):
+        # the fraction of no targets is undefined: the matrix is empty, and a
+        # run refuses an empty population before it divides by it
+        m = observation_matrix([Point(0.0, 0.0)], [], sr=5.0)
+        assert m.shape == (1, 0)
+        with pytest.raises(ValueError):
+            SimConfig(n_targets=0)
 
 
 class TestMeanPairwiseDistance:
